@@ -114,6 +114,14 @@ class KostkaCache:
         dominate its content, naming the line and the offending key.
         """
         cache = cls()
+        parsed: dict[str, Partition] = {}  # the same partitions key many lines
+
+        def parse(text: str) -> Partition:
+            p = parsed.get(text)
+            if p is None:
+                p = parsed[text] = parse_partition(text)
+            return p
+
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
@@ -126,8 +134,8 @@ class KostkaCache:
                     )
                 key_text = f"{fields[0]} / {fields[1]}"
                 try:
-                    shape = parse_partition(fields[0])
-                    content = parse_partition(fields[1])
+                    shape = parse(fields[0])
+                    content = parse(fields[1])
                 except PartitionParseError as exc:
                     raise CacheFormatError(f"line {line_no}: key {key_text}: {exc}") from exc
                 try:
@@ -178,27 +186,38 @@ def kostka(shape: Partition, content: Partition, cache: KostkaCache | None = Non
     """Kostka-Foulkes polynomial of the pair by the signed strip iteration.
 
     Zero unless the weights agree and shape dominates content; one when both
-    are empty.  `cache`, when given, memoizes every computed pair.
+    are empty.  Every computed pair is memoized in `cache`, or in a private
+    table for this call when none is given.
     """
+    return _iterate(shape, content, KostkaCache() if cache is None else cache, set())
+
+
+def _iterate(
+    shape: Partition, content: Partition, cache: KostkaCache, zeros: set[KostkaKey]
+) -> TPoly:
+    # The memo is consulted before dominance; vanishing pairs are remembered
+    # in `zeros`, which lives for one call and is never persisted.
     shape, content = prefix_reduce(shape, content)
     if not content and not shape:
         return ONE
-    if not dominates(shape, content):
+    hit = cache.get(shape, content)
+    if hit is not None:
+        return hit
+    key = (shape, content)
+    if key in zeros:
         return ZERO
-    if cache is not None:
-        hit = cache.get(shape, content)
-        if hit is not None:
-            return hit
+    if not dominates(shape, content):
+        zeros.add(key)
+        return ZERO
     rest = content[1:]
     total = ZERO
     for i, size, taus in recursion_children(shape, content[0]):
         branch = ZERO
         for tau in taus:
-            branch = branch + kostka(tau, rest, cache)
+            branch = branch + _iterate(tau, rest, cache, zeros)
         branch = branch.shift(size)
         total = total + branch if i % 2 else total - branch
-    if cache is not None:
-        cache.put(shape, content, total)
+    cache.put(shape, content, total)
     return total
 
 

@@ -1,14 +1,28 @@
 """Exact polynomials in t over Python's big integers, plus the t-analog tower.
 
-Sparse representation: exponent -> nonzero coefficient.  Negative exponents are
-rejected outright; the strip iteration only ever multiplies by nonnegative
-powers of t, so a negative shift anywhere is a bug, not a value.
+Packed representation (Kronecker substitution): a nonzero value
+t^v * (c_0 + c_1 t + ... + c_d t^d) with c_0 != 0 and c_d != 0 is stored as
+one integer k = c_0 + c_1 2^w + ... + c_d 2^(w d), the valuation v, the slot
+width w (a multiple of 64) and a bound m >= max |c_i|.  The invariant
+m < 2^(w-1) puts every coefficient in its own w-bit slot as a signed value,
+so k decodes exactly; for a fixed width (k, v) is canonical.  A sum is one
+big-integer addition, multiplying by t^e only moves v, and an operation whose
+bound would reach 2^(w-1) recomputes the exact coefficients and re-packs at
+the smallest width that holds them.
+
+Negative exponents are rejected outright; the strip iteration only ever
+multiplies by nonnegative powers of t, so a negative shift anywhere is a bug,
+not a value.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import count
+from operator import itemgetter
 
 from .partitions import Partition, multiplicity
 
@@ -25,10 +39,56 @@ def not_divisible_count() -> int:
     return _not_divisible_count
 
 
+_BIG_ENDIAN = sys.byteorder == "big"
+_second = itemgetter(1)
+
+
+def _width_for(m: int) -> int:
+    """Smallest slot width, a multiple of 64, holding every |c| <= m as a signed slot."""
+    return 64 * (m.bit_length() // 64 + 1)
+
+
+@lru_cache(maxsize=1024)
+def _bias(n: int, w: int) -> int:
+    """2^(w-1) in each of n slots of width w."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80") * n, "little")
+
+
+def _pack(coeffs: list[int], w: int) -> int:
+    """sum c_i 2^(w i) for signed |c_i| < 2^(w-1), built from two's complement slots."""
+    if w == 64:
+        slots = array("q", coeffs)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        raw = slots.tobytes()
+    else:
+        raw = b"".join(c.to_bytes(w // 8, "little", signed=True) for c in coeffs)
+    # flipping each slot's top bit turns two's complement c into c + 2^(w-1)
+    bias = _bias(len(coeffs), w)
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpack(k: int, w: int) -> list[int]:
+    """The signed slots c_0..c_d of a packed k, empty for zero; inverse of _pack."""
+    if not k:
+        return []
+    n = abs(k).bit_length() // w + 1
+    bias = _bias(n, w)
+    # k + bias has every slot in [0, 2^w) with no borrows; the xor makes them two's complement
+    raw = ((k + bias) ^ bias).to_bytes(n * w // 8, "little")
+    if w == 64:
+        slots = array("q", raw)
+        if _BIG_ENDIAN:
+            slots.byteswap()
+        return slots.tolist()
+    nb = w // 8
+    return [int.from_bytes(raw[i:i + nb], "little", signed=True) for i in range(0, len(raw), nb)]
+
+
 class TPoly:
     """Immutable polynomial in t with integer coefficients."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_k", "_v", "_w", "_m")
 
     def __init__(self, coeffs: dict[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
@@ -38,43 +98,59 @@ class TPoly:
                 raise ValueError(f"negative exponent {e}")
             if c:
                 d[e] = d.get(e, 0) + c
-        self._coeffs = {e: c for e, c in d.items() if c}
-
-    @classmethod
-    def _raw(cls, coeffs: dict[int, int]) -> "TPoly":
-        # internal: coeffs already normalized (no zeros, no negative exponents)
-        poly = cls.__new__(cls)
-        poly._coeffs = coeffs
-        return poly
+        poly = ZERO
+        if d:
+            low = min(d)
+            dense = [0] * (max(d) - low + 1)
+            for e, c in d.items():
+                dense[e - low] = c
+            poly = _from_dense(dense, low)
+        self._k, self._v, self._w, self._m = poly._k, poly._v, poly._w, poly._m
 
     @classmethod
     def term(cls, coefficient: int, exponent: int) -> "TPoly":
         """The monomial coefficient * t**exponent."""
         if exponent < 0:
             raise ValueError(f"negative exponent {exponent}")
-        return cls._raw({exponent: coefficient} if coefficient else {})
+        if not coefficient:
+            return ZERO
+        m = abs(coefficient)
+        return _new(coefficient, exponent, _width_for(m), m)
+
+    def _repack(self, w: int) -> "TPoly":
+        """The same value at slot width w >= the current one."""
+        if w == self._w or not self._k:
+            return self
+        return _new(_pack(_unpack(self._k, self._w), w), self._v, w, self._m)
 
     def coeff(self, e: int) -> int:
-        return self._coeffs.get(e, 0)
+        i = e - self._v
+        slots = _unpack(self._k, self._w)
+        return slots[i] if 0 <= i < len(slots) else 0
 
     def degree(self) -> int:
         """Largest stored exponent; -1 for the zero polynomial."""
-        return max(self._coeffs) if self._coeffs else -1
+        if not self._k:
+            return -1
+        return self._v + abs(self._k).bit_length() // self._w
 
     def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
-        return sorted(self._coeffs.items())
+        return list(filter(_second, zip(count(self._v), _unpack(self._k, self._w))))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        if self._w == other._w:
+            return self._k == other._k and self._v == other._v
+        return self._v == other._v and _unpack(self._k, self._w) == _unpack(other._k, other._w)
 
     def __hash__(self) -> int:
-        return hash(tuple(self.items()))
+        # through the coefficients, so that equal values at different widths agree
+        return hash((self._v, tuple(_unpack(self._k, self._w))))
 
     def __repr__(self) -> str:
         return f"TPoly({self.items()!r})"
@@ -83,43 +159,37 @@ class TPoly:
         return self.plain_str()
 
     def __add__(self, other: "TPoly") -> "TPoly":
-        d = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            nc = d.get(e, 0) + c
-            if nc:
-                d[e] = nc
-            else:
-                d.pop(e, None)
-        return TPoly._raw(d)
+        return _signed_sum(self, other, False)
 
     def __sub__(self, other: "TPoly") -> "TPoly":
-        d = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            nc = d.get(e, 0) - c
-            if nc:
-                d[e] = nc
-            else:
-                d.pop(e, None)
-        return TPoly._raw(d)
+        return _signed_sum(self, other, True)
 
     def __neg__(self) -> "TPoly":
-        return TPoly._raw({e: -c for e, c in self._coeffs.items()})
+        if not self._k:
+            return self
+        return _new(-self._k, self._v, self._w, self._m)
 
     def __mul__(self, other: "TPoly | int") -> "TPoly":
         if isinstance(other, int):
-            if not other:
+            if not other or not self._k:
                 return ZERO
-            return TPoly._raw({e: c * other for e, c in self._coeffs.items()})
-        d: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                nc = d.get(e, 0) + c1 * c2
-                if nc:
-                    d[e] = nc
-                else:
-                    d.pop(e, None)
-        return TPoly._raw(d)
+            m = self._m * abs(other)
+            if m >> (self._w - 1):
+                return _from_dense([c * other for c in _unpack(self._k, self._w)], self._v)
+            return _new(self._k * other, self._v, self._w, m)
+        if not self._k or not other._k:
+            return ZERO
+        w = max(self._w, other._w)
+        a, b = self._repack(w), other._repack(w)
+        # a product coefficient sums at most min(len a, len b) products of coefficients
+        terms = min(abs(a._k).bit_length(), abs(b._k).bit_length()) // w + 1
+        m = a._m * b._m * terms
+        v = a._v + b._v
+        if m >> (w - 1):
+            w = _width_for(m)
+            a, b = a._repack(w), b._repack(w)
+            return _from_dense(_unpack(a._k * b._k, w), v)
+        return _new(a._k * b._k, v, w, m)
 
     __rmul__ = __mul__
 
@@ -135,85 +205,161 @@ class TPoly:
         """Multiply by t**e; e must be nonnegative."""
         if e < 0:
             raise ValueError(f"negative shift {e}")
-        if not e:
+        if not e or not self._k:
             return self
-        return TPoly._raw({k + e: v for k, v in self._coeffs.items()})
+        return _new(self._k, self._v + e, self._w, self._m)
 
     def evaluate(self, x: int) -> int:
         """Exact integer value at t = x."""
-        return sum(c * x**e for e, c in self._coeffs.items())
+        acc = 0
+        for c in reversed(_unpack(self._k, self._w)):
+            acc = acc * x + c
+        return acc * x**self._v if acc else 0
 
     def plain_str(self) -> str:
         """Human form, e.g. "t + 2t^2 + t^3"; the zero polynomial is "0"."""
-        if not self._coeffs:
-            return "0"
-        pieces: list[str] = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces)
+        return self._format(latex=False)
 
     def latex_str(self) -> str:
         """LaTeX form, e.g. "t^{3}+t^{4}+2t^{5}"; exponents in braces, no spaces."""
-        if not self._coeffs:
+        return self._format(latex=True)
+
+    def _format(self, latex: bool) -> str:
+        slots = _unpack(self._k, self._w)
+        if not slots:
             return "0"
+        # plain text spaces the signs between terms; LaTeX writes no spaces
+        plus, minus = ("+", "-") if latex else (" + ", " - ")
         pieces: list[str] = []
-        for e, c in self.items():
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
+        for e, c in zip(count(self._v), slots):
+            if not c:
+                continue
+            if c > 0:
+                sign = plus
             else:
-                var = "t" if e == 1 else f"t^{{{e}}}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
+                sign, c = minus, -c
+            if e > 1:
+                var = f"t^{{{e}}}" if latex else f"t^{e}"
+            elif e:
+                var = "t"
             else:
-                pieces.append(f"+{body}" if c > 0 else f"-{body}")
-        return "".join(pieces)
+                pieces.append(f"{sign}{c}")
+                continue
+            pieces.append(f"{sign}{var}" if c == 1 else f"{sign}{c}{var}")
+        text = "".join(pieces)
+        # the first term takes no separator, only its own minus sign
+        return text[len(plus):] if slots[0] > 0 else "-" + text[len(minus):]
 
     def to_json_obj(self) -> list[list]:
         """JSON form: [exponent, coefficient-as-decimal-string] pairs, ascending."""
-        return [[e, str(c)] for e, c in self.items()]
+        return [[e, str(c)] for e, c in zip(count(self._v), _unpack(self._k, self._w)) if c]
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "TPoly":
         """Strictly validated inverse of to_json_obj."""
         if not isinstance(obj, list):
             raise ValueError("TPoly JSON must be a list of [exponent, coefficient] pairs")
-        coeffs: dict[int, int] = {}
+        coeffs: list[int] = []  # dense from the first exponent to `last`
         last = -1
         for entry in obj:
             if not isinstance(entry, list) or len(entry) != 2:
                 raise ValueError(f"bad TPoly JSON entry {entry!r}")
             e, c = entry
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"bad exponent {e!r}")
-            if e <= last:
+            if type(e) is not int or e <= last:
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"bad exponent {e!r}")
                 raise ValueError(f"exponents not strictly ascending at {e}")
-            last = e
             if not isinstance(c, str):
                 raise ValueError(f"coefficient must be a decimal string, got {c!r}")
             try:
                 ci = int(c)
             except ValueError:
                 raise ValueError(f"bad coefficient string {c!r}") from None
-            if ci == 0:
+            if not ci:
                 raise ValueError(f"zero coefficient stored at exponent {e}")
-            coeffs[e] = ci
-        return cls._raw(coeffs)
+            if coeffs and e > last + 1:
+                coeffs.extend([0] * (e - last - 1))
+            last = e
+            coeffs.append(ci)
+        return _from_dense(coeffs, last + 1 - len(coeffs))
 
 
-ZERO = TPoly._raw({})
-ONE = TPoly._raw({0: 1})
-T = TPoly._raw({1: 1})
+_alloc = object.__new__
+
+
+def _new(k: int, v: int, w: int, m: int) -> TPoly:
+    # internal: k != 0 has a nonzero lowest slot and m < 2^(w-1) bounds its slots
+    poly = _alloc(TPoly)
+    poly._k = k
+    poly._v = v
+    poly._w = w
+    poly._m = m
+    return poly
+
+
+def _from_dense(coeffs: list[int], v: int) -> TPoly:
+    """The polynomial sum c_i t^(v+i), packed at the smallest width that holds it."""
+    hi = len(coeffs)
+    while hi and not coeffs[hi - 1]:
+        hi -= 1
+    if not hi:
+        return ZERO
+    lo = 0
+    while not coeffs[lo]:
+        lo += 1
+    coeffs = coeffs[lo:hi]
+    m = max(max(coeffs), -min(coeffs))
+    w = _width_for(m)
+    return _new(_pack(coeffs, w), v + lo, w, m)
+
+
+def _signed_sum(a: TPoly, b: TPoly, negate: bool) -> TPoly:
+    """a + b, or a - b when `negate`."""
+    kb = b._k
+    if not kb:
+        return a
+    if not a._k:
+        return -b if negate else b
+    w = a._w
+    m = a._m + b._m
+    if w != b._w or m >> (w - 1):
+        return _exact_sum(a, b, negate)
+    if negate:
+        kb = -kb
+    va, vb = a._v, b._v
+    if va < vb:
+        return _new(a._k + (kb << w * (vb - va)), va, w, m)
+    if vb < va:
+        return _new((a._k << w * (va - vb)) + kb, vb, w, m)
+    k = a._k + kb
+    if not k:
+        return ZERO
+    if not k & ((1 << w) - 1):
+        # the lowest slots cancelled: move them into the valuation
+        slots = ((k & -k).bit_length() - 1) // w
+        k >>= w * slots
+        va += slots
+    return _new(k, va, w, m)
+
+
+def _exact_sum(a: TPoly, b: TPoly, negate: bool) -> TPoly:
+    """The sum when the widths differ or the bound would leave the slot width."""
+    w = max(a._w, b._w)
+    if not (a._m + b._m) >> (w - 1):
+        return _signed_sum(a._repack(w), b._repack(w), negate)
+    v = min(a._v, b._v)
+    ca, cb = _unpack(a._k, a._w), _unpack(b._k, b._w)
+    dense = [0] * (max(a._v + len(ca), b._v + len(cb)) - v)
+    for i, c in enumerate(ca, a._v - v):
+        dense[i] = c
+    for i, c in enumerate(cb, b._v - v):
+        dense[i] += -c if negate else c
+    return _from_dense(dense, v)
+
+
+ZERO = _new(0, 0, 64, 0)
+ONE = _new(1, 0, 64, 1)
+T = _new(1, 1, 64, 1)
 
 
 def t_integer(n: int) -> TPoly:
@@ -222,7 +368,7 @@ def t_integer(n: int) -> TPoly:
         raise ValueError("t-integer of a negative integer")
     if n == 0:
         return ONE
-    return TPoly._raw({k: 1 for k in range(n)})
+    return _from_dense([1] * n, 0)
 
 
 @lru_cache(maxsize=None)
@@ -252,33 +398,35 @@ def exact_divide(a: TPoly, b: TPoly) -> TPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
         return ZERO
-    rem = dict(a._coeffs)
-    db = b.degree()
-    lead = b.coeff(db)
-    bitems = b.items()
-    q: dict[int, int] = {}
-    while rem:
-        dr = max(rem)
-        cr = rem[dr]
-        if dr < db or cr % lead:
-            _not_divisible_count += 1
-            raise NotDivisible(f"({a}) is not divisible by ({b})")
-        qc = cr // lead
-        qe = dr - db
-        q[qe] = qc
-        for e, c in bitems:
-            e2 = e + qe
-            nc = rem.get(e2, 0) - qc * c
-            if nc:
-                rem[e2] = nc
-            else:
-                rem.pop(e2, None)
-    return TPoly._raw(q)
+    # t^va A / t^vb B with A(0), B(0) != 0: long division of A by B from the top
+    rem, den = _unpack(a._k, a._w), _unpack(b._k, b._w)
+    db = len(den) - 1
+    lead = den[db]
+    q = [0] * max(len(rem) - db, 0)
+    exact = a._v >= b._v and len(rem) > db
+    if exact:
+        for top in range(len(rem) - 1, db - 1, -1):
+            c = rem[top]
+            if not c:
+                continue
+            qc, r = divmod(c, lead)
+            if r:
+                exact = False
+                break
+            base = top - db
+            q[base] = qc
+            for j, d in enumerate(den, base):
+                rem[j] -= qc * d
+        exact = exact and not any(rem[:db])
+    if not exact:
+        _not_divisible_count += 1
+        raise NotDivisible(f"({a}) is not divisible by ({b})")
+    return _from_dense(q, a._v - b._v)
 
 
 def norm_factor(p: Partition) -> TPoly:
     """Hall-Littlewood norm factor: (1 - t)^length * product of [multiplicity]!."""
-    out = TPoly._raw({0: 1, 1: -1}) ** len(p)
+    out = TPoly({0: 1, 1: -1}) ** len(p)
     for v in sorted(set(p)):
         out = out * t_factorial(multiplicity(p, v))
     return out

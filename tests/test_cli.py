@@ -66,6 +66,13 @@ def test_compute_fast_paths_match(capsys):
         assert out == "t^3 + t^4 + 2t^5 + t^6 + t^7\n"
 
 
+def test_compute_deep_one_row_prints_a_single_power(capsys):
+    code, out, _ = run(capsys, "compute", "--shape", "1100", "--content", "1^1100",
+                       "--fast-paths", "one-row")
+    assert code == 0
+    assert out == "t^604450\n"
+
+
 def test_compute_dump_tableaux(capsys):
     code, out, _ = run(capsys, "compute", "--shape", "2,1", "--content", "1,1,1",
                        "--dump-tableaux")
@@ -229,6 +236,14 @@ def test_bench_reports_dispatch_path(capsys):
                        "--fast-paths", "all")
     assert code == 0
     assert "dispatch: hook path" in out
+
+
+def test_bench_without_a_matching_fast_path_runs_the_recursion(capsys):
+    code, out, _ = run(capsys, "bench", "--shape", "4,3,2,1", "--content", "1^10",
+                       "--fast-paths", "hook")
+    assert code == 0
+    assert "dispatch: recursion path" in out
+    assert "mismatch" not in out
 
 
 def test_bench_respects_oracle_ceiling(capsys):

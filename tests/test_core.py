@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
+import kostka.core as engine
 from kostka.core import (
     ALL_FAST_PATHS,
     CacheConflictError,
@@ -19,6 +21,18 @@ from kostka.core import (
 from kostka.oracles import kostka_via_charge
 from kostka.partitions import dominates, partitions_of, weighted_size
 from kostka.polynomials import ONE, TPoly, ZERO
+
+
+def peak_bytes(fn):
+    """Peak traced allocation while fn runs, its result still held."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak
 
 
 # --- general recursion against frozen values ---
@@ -58,6 +72,23 @@ def test_kostka_uses_and_fills_cache():
     assert cache.misses == misses  # answered from the memo table
 
 
+def test_kostka_without_cache_memoizes_like_a_fresh_cache(monkeypatch):
+    calls = []
+
+    def counted(shape, head):
+        calls.append((shape, head))
+        return recursion_children(shape, head)
+
+    monkeypatch.setattr(engine, "recursion_children", counted)
+    shape, content = (6, 4, 3, 2), (3,) + (1,) * 12
+    uncached = kostka(shape, content)
+    uncached_calls = len(calls)
+    calls.clear()
+    cache = KostkaCache()
+    assert kostka(shape, content, cache) == uncached
+    assert len(calls) == uncached_calls == len(cache)
+
+
 # --- prefix reduction ---
 
 def test_prefix_reduce():
@@ -84,6 +115,15 @@ def test_kostka_one_row():
     assert kostka_one_row((5,)) == ONE
     assert kostka_one_row(()) == ONE
     assert kostka_one_row((2, 2, 1, 1)) == TPoly({7: 1})
+
+
+def test_sparse_high_powers_stay_small():
+    # a single power of t is one slot at its valuation, whatever the exponent
+    big = TPoly.term(1, 604450)
+    assert peak_bytes(lambda: TPoly.term(1, 604450)) < 64 * 1024
+    assert peak_bytes(lambda: big.shift(604450)) < 64 * 1024
+    assert peak_bytes(lambda: kostka_one_row((1,) * 1100)) < 64 * 1024
+    assert kostka_one_row((1,) * 1100) == big
 
 
 def test_kostka_hook_values():

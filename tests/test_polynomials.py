@@ -23,6 +23,22 @@ def tpolys(max_exp=8, max_coeff=9, max_terms=6):
     ).map(TPoly)
 
 
+# coefficients past one slot width and at its edges, so sums and products must widen
+wide_coeffs = st.one_of(
+    st.integers(-2**200, 2**200),
+    st.sampled_from([2**62, 2**63 - 1, -2**63, 2**63, 2**127 - 1, -2**127]),
+)
+wide_tpolys = st.dictionaries(st.integers(0, 12), wide_coeffs, max_size=8).map(TPoly)
+
+
+def dict_sum(a, b, sign=1):
+    """Coefficientwise reference for the packed a + sign * b."""
+    d = dict(a.items())
+    for e, c in b.items():
+        d[e] = d.get(e, 0) + sign * c
+    return {e: c for e, c in d.items() if c}
+
+
 # --- representation ---
 
 def test_construction_drops_zero_coefficients():
@@ -69,6 +85,44 @@ def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+
+
+@settings(max_examples=500)
+@given(wide_tpolys, wide_tpolys, st.integers(0, 70))
+def test_packed_sums_match_the_coefficientwise_reference(a, b, e):
+    assert dict((a + b).items()) == dict_sum(a, b)
+    assert dict((a - b.shift(e)).items()) == dict_sum(a, b.shift(e), -1)
+    assert (a + b) - b == a
+    assert not a or a.shift(e + 1) != a
+
+
+def test_slot_overflow_widens_only_when_the_true_maximum_needs_it():
+    half = 2**62
+    a = TPoly({0: half, 1: half})
+    assert (a + a)._w == 128
+    assert (a + a).items() == [(0, 2**63), (1, 2**63)]
+    b = TPoly({0: -half, 2: half})  # the bound overflows, the sum does not
+    assert (a + b)._w == 64
+    assert a + b == TPoly({1: half, 2: half})
+
+
+@given(wide_tpolys)
+def test_self_difference_is_zero(a):
+    diff = a - a
+    assert not diff
+    assert diff == ZERO and hash(diff) == hash(ZERO)
+    assert diff.items() == [] and diff.degree() == -1
+
+
+@given(tpolys().filter(bool), st.integers(2**70, 2**200))
+def test_equality_and_hash_agree_across_widths(p, big):
+    wide = TPoly.term(big, 3)
+    same = (p + wide) - wide           # p's value, packed at the wide width
+    assert same._w > p._w == 64
+    assert same == p and p == same
+    assert hash(same) == hash(p)
+    assert same.items() == p.items()
+    assert (same + wide) != p
 
 
 def test_shift():
@@ -157,7 +211,8 @@ def test_exact_divide_signals_not_divisible():
         exact_divide(ONE, ZERO)
 
 
-@given(tpolys(), tpolys())
+@settings(max_examples=300)
+@given(tpolys() | wide_tpolys, tpolys() | wide_tpolys)
 def test_exact_divide_inverts_multiplication(a, b):
     if not b:
         return
@@ -208,7 +263,7 @@ def test_json_round_trip():
     assert TPoly.from_json_obj([]) == ZERO
 
 
-@given(tpolys())
+@given(tpolys() | wide_tpolys)
 def test_json_round_trip_random(p):
     assert TPoly.from_json_obj(p.to_json_obj()) == p
 
