@@ -144,10 +144,22 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _load_cache(path: str | None) -> KostkaCache:
+def _load_cache(path: str | None) -> tuple[KostkaCache, int | None]:
+    """The memo persisted at `path`, and its size when the file existed."""
     if path and os.path.exists(path):
-        return KostkaCache.load(path)
-    return KostkaCache()
+        cache = KostkaCache.load(path)
+        return cache, len(cache)
+    return KostkaCache(), None
+
+
+def _save_cache(cache: KostkaCache, path: str | None, loaded: int | None) -> None:
+    """Persist the memo unless it holds just what its existing file held.
+
+    Entries are write-once and never dropped, so an unchanged size means
+    unchanged entries, and rewriting the file would reproduce its bytes.
+    """
+    if path and len(cache) != loaded:
+        cache.save(path)
 
 
 def _compute_pairs(
@@ -191,7 +203,7 @@ def _render_poly(value: TPoly, fmt: str) -> str:
 
 
 def cmd_compute(cfg: RunConfig) -> int:
-    cache = _load_cache(cfg.cache_path)
+    cache, loaded = _load_cache(cfg.cache_path)
     value = kostka_auto(cfg.shape, cfg.content, cache, cfg.fast_paths)
     if cfg.format == "csv":
         buf = io.StringIO()
@@ -205,15 +217,14 @@ def cmd_compute(cfg: RunConfig) -> int:
     if cfg.dump_tableaux:
         for t in enumerate_ssyt(cfg.shape, cfg.content):
             print(json.dumps(t.to_json_obj()))
-    if cfg.cache_path:
-        cache.save(cfg.cache_path)
+    _save_cache(cache, cfg.cache_path, loaded)
     return 0
 
 
 def cmd_table(cfg: RunConfig) -> int:
     shapes = list(partitions_of(cfg.n))
     pairs = [(s, c) for s in shapes for c in shapes if dominates(s, c)]
-    cache = _load_cache(cfg.cache_path)
+    cache, loaded = _load_cache(cfg.cache_path)
     values = _compute_pairs(pairs, cfg.threads, cache, cfg.fast_paths)
     if cfg.format == "csv":
         buf = io.StringIO()
@@ -232,13 +243,12 @@ def cmd_table(cfg: RunConfig) -> int:
     else:
         for (s, c), v in zip(pairs, values):
             print(f"{format_partition(s)}\t{format_partition(c)}\t{v.plain_str()}")
-    if cfg.cache_path:
-        cache.save(cfg.cache_path)
+    _save_cache(cache, cfg.cache_path, loaded)
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    cache = _load_cache(cfg.cache_path)
+    cache, _ = _load_cache(cfg.cache_path)
     mismatches: list[tuple[Partition, Partition, str, str, str]] = []
 
     def record(s, c, got, expected, oracle):
@@ -277,7 +287,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_bench(cfg: RunConfig) -> int:
-    cache = _load_cache(cfg.cache_path)
+    cache, loaded = _load_cache(cfg.cache_path)
     print(f"shape: {format_partition(cfg.shape)}")
     print(f"content: {format_partition(cfg.content)}")
 
@@ -313,8 +323,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             ratio = charge_s / max(recursion_s, 1e-9)
             print(f"speedup: recursion {ratio:.1f}x faster than charge oracle")
 
-    if cfg.cache_path:
-        cache.save(cfg.cache_path)
+    _save_cache(cache, cfg.cache_path, loaded)
     return status
 
 

@@ -16,7 +16,10 @@ off first (`prefix_reduce`).
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import threading
 
 from .partitions import (
     Partition,
@@ -98,13 +101,27 @@ class KostkaCache:
             self.put(shape, content, value)
 
     def save(self, path: str) -> None:
-        """One record per line: shape TAB content TAB polynomial JSON."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for (shape, content), value in self.items():
-                fh.write(
-                    f"{format_partition(shape)}\t{format_partition(content)}\t"
-                    f"{json.dumps(value.to_json_obj())}\n"
-                )
+        """One record per line: shape TAB content TAB polynomial JSON.
+
+        The records go to a temporary file beside `path` that then replaces
+        it, so an interrupted save, or a crash, leaves the old file whole.
+        """
+        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for (shape, content), value in self.items():
+                    fh.write(
+                        f"{format_partition(shape)}\t{format_partition(content)}\t"
+                        f"{json.dumps(value.to_json_obj())}\n"
+                    )
+                # the records reach the disk before the name points at them
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "KostkaCache":
@@ -189,36 +206,86 @@ def kostka(shape: Partition, content: Partition, cache: KostkaCache | None = Non
     are empty.  Every computed pair is memoized in `cache`, or in a private
     table for this call when none is given.
     """
-    return _iterate(shape, content, KostkaCache() if cache is None else cache, set())
-
-
-def _iterate(
-    shape: Partition, content: Partition, cache: KostkaCache, zeros: set[KostkaKey]
-) -> TPoly:
-    # The memo is consulted before dominance; vanishing pairs are remembered
-    # in `zeros`, which lives for one call and is never persisted.
+    if cache is None:
+        cache = KostkaCache()
     shape, content = prefix_reduce(shape, content)
     if not content and not shape:
         return ONE
     hit = cache.get(shape, content)
     if hit is not None:
         return hit
-    key = (shape, content)
-    if key in zeros:
-        return ZERO
     if not dominates(shape, content):
-        zeros.add(key)
         return ZERO
-    rest = content[1:]
-    total = ZERO
-    for i, size, taus in recursion_children(shape, content[0]):
-        branch = ZERO
-        for tau in taus:
-            branch = branch + _iterate(tau, rest, cache, zeros)
-        branch = branch.shift(size)
-        total = total + branch if i % 2 else total - branch
-    cache.put(shape, content, total)
-    return total
+    return _iterate((shape, content), cache)
+
+
+def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
+    """Value of a prefix-reduced dominating pair that is not yet memoized.
+
+    A post-order walk on an explicit stack, so a long content costs no
+    interpreter recursion.  A frame is [key, branches]: branches is None until
+    the frame is expanded, then (i, size, children) triples in which a child
+    is its value when the memo already had it, or its key while it still has
+    to be computed on a frame above.  Vanishing pairs are remembered in
+    `zeros` for this call only and never persisted.  Every child lookup is
+    counted in the cache's hits or misses.
+    """
+    memo = cache._entries
+    zeros: set[KostkaKey] = set()
+    hits = misses = 0
+    stack: list[list] = [[root, None]]
+    while stack:
+        frame = stack[-1]
+        key, branches = frame
+        if branches is None:
+            if key in memo:  # pushed twice, and computed since
+                stack.pop()
+                continue
+            shape, content = key
+            rest = content[1:]
+            branches = frame[1] = []
+            for i, size, taus in recursion_children(shape, content[0]):
+                children: list = []
+                for tau in taus:
+                    if tau == rest:
+                        children.append(ONE)
+                        continue
+                    # prefix_reduce inline: tau and rest have equal weights and
+                    # differ, so they differ at an index inside both
+                    if tau[0] != rest[0]:
+                        child = (tau, rest)
+                    else:
+                        r = 1
+                        while tau[r] == rest[r]:
+                            r += 1
+                        child = (tau[r:], rest[r:])
+                    value = memo.get(child)
+                    if value is not None:
+                        hits += 1
+                        children.append(value)
+                        continue
+                    misses += 1
+                    if child in zeros:
+                        continue
+                    if not dominates(child[0], child[1]):
+                        zeros.add(child)
+                        continue
+                    children.append(child)
+                    stack.append([child, None])
+                branches.append((i, size, children))
+            continue
+        total = ZERO
+        for i, size, children in branches:
+            branch = ZERO
+            for child in children:
+                branch = branch + (memo[child] if type(child) is tuple else child)
+            branch = branch.shift(size)
+            total = total + branch if i % 2 else total - branch
+        stack.pop()
+        cache.put(key[0], key[1], total)
+    cache.hits += hits
+    cache.misses += misses
+    return memo[root]
 
 
 def kostka_one_row(content: Partition) -> TPoly:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
+from operator import ge
 
 Partition = tuple[int, ...]
 
@@ -84,16 +86,13 @@ def conjugate(p: Partition) -> Partition:
 
 
 def dominates(a: Partition, b: Partition) -> bool:
-    """Dominance order at equal weight: every prefix sum of a is >= that of b."""
-    if sum(a) != sum(b):
-        return False
-    pa = pb = 0
-    for i in range(max(len(a), len(b))):
-        pa += a[i] if i < len(a) else 0
-        pb += b[i] if i < len(b) else 0
-        if pa < pb:
-            return False
-    return True
+    """Dominance order at equal weight: every prefix sum of a is >= that of b.
+
+    At equal weights a longer a never dominates (its prefix sum falls short
+    where b's reaches the weight), and past the end of a shorter a its prefix
+    sums equal the weight, so only the first len(a) prefix sums are compared.
+    """
+    return len(a) <= len(b) and sum(a) == sum(b) and all(map(ge, accumulate(a), accumulate(b)))
 
 
 def multiplicity(p: Partition, i: int) -> int:
@@ -133,28 +132,23 @@ def horizontal_strip_additions(p: Partition, m: int) -> list[Partition]:
 
     Equivalently all tau with tau_j >= p_j >= tau_{j+1} and weight(p) + m.
     Returned in decreasing lexicographic order; m = 0 yields exactly [p].
+    Built row by row; a choice for row j that leaves more than p_j boxes is
+    dropped at once, because the rows below can take at most p_j more.
     """
     if m < 0:
         raise ValueError("strip size must be nonnegative")
-    l = len(p)
-    out: list[Partition] = []
-    row = [0] * (l + 1)
-
-    def fill(j: int, left: int) -> None:
-        if j == l:
-            cap = p[l - 1] if l else left
-            if left <= cap:
-                row[l] = left
-                out.append(tuple(row[: l + 1]) if left else tuple(row[:l]))
-            return
-        lo = p[j]
-        hi = min(p[j - 1], lo + left) if j else lo + left
-        for v in range(hi, lo - 1, -1):
-            row[j] = v
-            fill(j + 1, left - (v - lo))
-
-    fill(0, m)
-    return out
+    rows: list[tuple[Partition, int]] = [((), m)]  # (rows chosen so far, boxes left)
+    cap = m + (p[0] if p else 0)
+    for x in p:
+        # row j takes v = x + d boxes, d <= left and v <= p_{j-1}, and leaves
+        # left - d <= x: v runs from min(cap, x + left) down to max(x, left),
+        # spelled as conditional expressions because this is the hot loop
+        rows = [(head + (v,), left + x - v)
+                for head, left in rows
+                for v in range(x + left if x + left < cap else cap,
+                               (left if left > x else x) - 1, -1)]
+        cap = x
+    return [head + (left,) if left else head for head, left in rows]
 
 
 def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
@@ -166,6 +160,22 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
         return
     if max_part is None or max_part > n:
         max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
+    if max_part < 1:
+        return
+    q, r = divmod(n, max_part)
+    parts = [max_part] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        # the successor lowers the last part above 1 by one and refills the
+        # boxes after it greedily with parts no larger
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        x = parts.pop() - 1
+        q, r = divmod(x + 1 + ones, x)
+        parts += [x] * q
+        if r:
+            parts.append(r)

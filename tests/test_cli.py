@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -73,6 +74,12 @@ def test_compute_deep_one_row_prints_a_single_power(capsys):
     assert out == "t^604450\n"
 
 
+def test_compute_deep_pair_without_fast_paths_runs_the_iteration(capsys):
+    code, out, _ = run(capsys, "compute", "--shape", "1100", "--content", "1^1100")
+    assert code == 0
+    assert out == "t^604450\n"
+
+
 def test_compute_dump_tableaux(capsys):
     code, out, _ = run(capsys, "compute", "--shape", "2,1", "--content", "1,1,1",
                        "--dump-tableaux")
@@ -98,6 +105,24 @@ def test_compute_cache_persists(capsys, tmp_path):
                           "--cache", str(path))
     assert code == 0
     assert second == first
+
+
+def test_warm_table_leaves_the_memo_file_alone(capsys, tmp_path):
+    path = tmp_path / "memo.tsv"
+    code, cold, _ = run(capsys, "table", "--n", "6", "--cache", str(path))
+    assert code == 0
+    before = path.read_bytes()
+    os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+    stamp = path.stat()
+    code, warm, _ = run(capsys, "table", "--n", "6", "--cache", str(path))
+    assert code == 0 and warm == cold
+    after = path.stat()
+    assert path.read_bytes() == before
+    assert (after.st_ino, after.st_mtime_ns) == (stamp.st_ino, stamp.st_mtime_ns)
+    # a memo that gained entries is written back
+    code, _, _ = run(capsys, "table", "--n", "7", "--cache", str(path))
+    assert code == 0
+    assert len(KostkaCache.load(str(path))) > len(before.splitlines())
 
 
 def test_env_var_overrides_cache_flag(capsys, tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 import tracemalloc
 
 import pytest
@@ -87,6 +89,35 @@ def test_kostka_without_cache_memoizes_like_a_fresh_cache(monkeypatch):
     cache = KostkaCache()
     assert kostka(shape, content, cache) == uncached
     assert len(calls) == uncached_calls == len(cache)
+
+
+def test_content_longer_than_the_recursion_limit_computes():
+    # one frame per content part, far past the interpreter's recursion limit
+    assert 5000 > sys.getrecursionlimit()
+    assert kostka((5000,), (1,) * 5000) == TPoly.term(1, 12497500)
+
+
+def test_cache_counts_every_child_lookup():
+    cache = KostkaCache()
+    kostka((5, 3, 3, 1), (2, 2, 2, 2, 2, 2), cache)  # meets some vanishing pairs twice
+    # one lookup for the root, then one per child of each computed pair;
+    # a child that reduces to the empty pair is answered without a lookup
+    lookups = 1 + sum(
+        1
+        for (shape, content), _ in cache.items()
+        for _, _, taus in recursion_children(shape, content[0])
+        for tau in taus
+        if prefix_reduce(tau, content[1:]) != ((), ())
+    )
+    assert cache.hits + cache.misses == lookups
+
+
+def test_headline_shape_matches_the_column_form_and_charge():
+    # the headline pair itself is checked against charge by acceptance criterion 3
+    shape = (6, 4, 3, 2)
+    assert kostka(shape, (1,) * 15) == kostka_column(shape)
+    for content in ((3, 3, 3, 2, 2, 2), (4, 3, 3, 2, 1, 1, 1)):
+        assert kostka(shape, content) == kostka_via_charge(shape, content)
 
 
 # --- prefix reduction ---
@@ -292,6 +323,31 @@ def test_cache_save_load_round_trip(tmp_path):
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 3
     json.loads(first[2])
+
+
+def test_interrupted_save_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "memo.tsv"
+    small = KostkaCache()
+    kostka((3, 2, 1), (2, 2, 1, 1), small)
+    small.save(str(path))
+    before = path.read_bytes()
+    bigger = small.clone()
+    kostka((5, 3, 2, 1), (2, 2, 2, 1, 1, 1, 1, 1), bigger)
+    written = []
+    to_json_obj = TPoly.to_json_obj
+
+    def fail_midway(self):
+        written.append(self)
+        if len(written) == 5:
+            raise OSError("disk full")
+        return to_json_obj(self)
+
+    monkeypatch.setattr(TPoly, "to_json_obj", fail_midway)
+    with pytest.raises(OSError, match="disk full"):
+        bigger.save(str(path))
+    assert len(written) == 5 < len(bigger)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["memo.tsv"]
 
 
 @pytest.mark.parametrize(

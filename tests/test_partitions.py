@@ -138,6 +138,25 @@ def test_dominates_is_a_partial_order(n):
                 assert c in below[a]  # transitive
 
 
+def padded_dominates(a, b):
+    """Reference: equal weights and every zero-padded prefix sum of a >= that of b."""
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return sum(a) == sum(b) and all(sum(a[:i]) >= sum(b[:i]) for i in range(1, n + 1))
+
+
+equal_weight_pairs = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.sampled_from(list(partitions_of(n))),
+                        st.sampled_from(list(partitions_of(n))))
+)
+
+
+@given(st.one_of(equal_weight_pairs, st.tuples(partitions_st(), partitions_st())))
+def test_dominates_matches_the_padded_prefix_sums(pair):
+    a, b = pair
+    assert dominates(a, b) == padded_dominates(a, b)
+
+
 # --- structural operators ---
 
 def test_branch_shape():
@@ -201,6 +220,18 @@ def test_horizontal_strips_fixed_cases():
         horizontal_strip_additions((2, 1), -1)
 
 
+def test_horizontal_strips_edge_cases():
+    assert horizontal_strip_additions((), 0) == [()]
+    # more boxes than the first row: the second row is capped by p_1
+    assert horizontal_strip_additions((2,), 5) == [(7,), (6, 1), (5, 2)]
+    assert horizontal_strip_additions((3,), 2) == [(5,), (4, 1), (3, 2)]
+    for k in range(1, 6):
+        column = (1,) * k
+        assert horizontal_strip_additions(column, 0) == [column]
+        for m in range(1, 5):
+            assert horizontal_strip_additions(column, m) == [(1 + m,) + column[1:], (m,) + column]
+
+
 @given(partitions_st(max_part=5, max_len=4), st.integers(0, 5))
 def test_horizontal_strips_match_brute_force(p, m):
     got = horizontal_strip_additions(p, m)
@@ -233,3 +264,9 @@ def test_partitions_of_order_and_validity():
         for p in ps:
             assert p == partition(p)
             assert weight(p) == n
+
+
+def test_partitions_of_is_not_recursive():
+    assert list(partitions_of(1200, 1)) == [(1,) * 1200]
+    assert list(partitions_of(7, 3)) == [p for p in partitions_of(7) if p[0] <= 3]
+    assert list(partitions_of(3, 0)) == []

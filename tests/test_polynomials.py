@@ -117,12 +117,16 @@ def test_self_difference_is_zero(a):
 @given(tpolys().filter(bool), st.integers(2**70, 2**200))
 def test_equality_and_hash_agree_across_widths(p, big):
     wide = TPoly.term(big, 3)
-    same = (p + wide) - wide           # p's value, packed at the wide width
+    same = p._repack(wide._w)          # p's value, packed at the wide width
     assert same._w > p._w == 64
     assert same == p and p == same
     assert hash(same) == hash(p)
     assert same.items() == p.items()
     assert (same + wide) != p
+    # the round trip is not always wide: when big sits in the top bit of its
+    # slot, the difference's bound overflows and it re-packs at the smallest width
+    back = (p + wide) - wide
+    assert back == p and hash(back) == hash(p)
 
 
 def test_shift():
