@@ -32,7 +32,6 @@ from .partitions import (
     format_partition,
     hook_lengths,
     horizontal_strip_additions,
-    multiplicity,
     parse_partition,
     partition,
     partitions_of,
@@ -42,12 +41,10 @@ from .partitions import (
 )
 from .polynomials import (
     ONE,
-    T,
     ZERO,
     NotDivisible,
     TPoly,
     exact_divide,
-    norm_factor,
     not_divisible_count,
     t_binomial,
     t_factorial,

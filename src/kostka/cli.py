@@ -13,11 +13,10 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from .core import (
     ALL_FAST_PATHS,
+    FAST_PATH_NAMES,
     CacheFormatError,
     KostkaCache,
     kostka,
@@ -38,27 +37,14 @@ from .partitions import (
 from .polynomials import TPoly
 
 FORMATS = ("plain", "json", "csv", "latex")
-FAST_PATH_CHOICES = ("none", "all", "one-row", "hook", "column")
+FAST_PATHS = {"none": frozenset(), "all": ALL_FAST_PATHS,
+              **{name: frozenset({name}) for name in FAST_PATH_NAMES}}
 DEFAULT_ORACLE_CEILING = 10_000_000
+THREADS_HELP = "accepted for compatibility; evaluation is always serial"
 
 
 class UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    shape: Partition | None = None
-    content: Partition | None = None
-    n: int | None = None
-    max_n: int | None = None
-    format: str = "plain"
-    fast_paths: frozenset[str] = field(default_factory=frozenset)
-    cache_path: str | None = None
-    threads: int = 1
-    dump_tableaux: bool = False
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,81 +53,62 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(low: int):
+    """An argparse type: an integer >= low; the message names the bad token."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+def _partition(text: str) -> Partition:
+    try:
+        return parse_partition(text)
+    except PartitionParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="kostka", description="Exact Kostka-Foulkes polynomial computations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute one polynomial for a shape/content pair")
-    pc.add_argument("--shape", required=True, help='shape partition, e.g. "3,2,1"')
-    pc.add_argument("--content", required=True, help='content partition, e.g. "2^2,1^2"')
+    pc.add_argument("--shape", type=_partition, required=True,
+                    help='shape partition, e.g. "3,2,1"')
+    pc.add_argument("--content", type=_partition, required=True,
+                    help='content partition, e.g. "2^2,1^2"')
     pc.add_argument("--format", choices=FORMATS, default="plain")
-    pc.add_argument("--fast-paths", choices=FAST_PATH_CHOICES, default="none")
+    pc.add_argument("--fast-paths", choices=FAST_PATHS, default="none")
     pc.add_argument("--cache", metavar="FILE", help="persisted memo table to load and update")
     pc.add_argument("--dump-tableaux", action="store_true",
                     help="also print every tableau of the pair as a JSON line")
 
     pt = sub.add_parser("table", help="all pairs of partitions of n with shape >= content")
-    pt.add_argument("--n", type=int, required=True)
+    pt.add_argument("--n", type=_at_least(1), required=True)
     pt.add_argument("--format", choices=FORMATS, default="csv")
-    pt.add_argument("--fast-paths", choices=FAST_PATH_CHOICES, default="none")
-    pt.add_argument("--threads", type=int, default=1)
+    pt.add_argument("--fast-paths", choices=FAST_PATHS, default="none")
+    pt.add_argument("--threads", type=_at_least(1), default=1, help=THREADS_HELP)
     pt.add_argument("--cache", metavar="FILE")
 
     pv = sub.add_parser("verify", help="sweep recursion against all oracles up to max n")
-    pv.add_argument("--max-n", type=int, required=True)
-    pv.add_argument("--threads", type=int, default=1)
+    pv.add_argument("--max-n", type=_at_least(0), required=True)
+    pv.add_argument("--threads", type=_at_least(1), default=1, help=THREADS_HELP)
     pv.add_argument("--cache", metavar="FILE")
 
     pb = sub.add_parser("bench", help="time the recursion against the charge oracle")
-    pb.add_argument("--shape", required=True)
-    pb.add_argument("--content", required=True)
-    pb.add_argument("--fast-paths", choices=FAST_PATH_CHOICES, default="none")
-    pb.add_argument("--oracle-ceiling", type=int, default=DEFAULT_ORACLE_CEILING,
+    pb.add_argument("--shape", type=_partition, required=True)
+    pb.add_argument("--content", type=_partition, required=True)
+    pb.add_argument("--fast-paths", choices=FAST_PATHS, default="none")
+    pb.add_argument("--oracle-ceiling", type=_at_least(0), default=DEFAULT_ORACLE_CEILING,
                     help="skip the charge oracle above this tableau count")
     pb.add_argument("--cache", metavar="FILE")
 
     return parser
-
-
-def _fast_path_set(name: str) -> frozenset[str]:
-    if name == "none":
-        return frozenset()
-    if name == "all":
-        return ALL_FAST_PATHS
-    return frozenset({name})
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    if hasattr(args, "shape"):
-        cfg.shape = parse_partition(args.shape)
-    if hasattr(args, "content"):
-        cfg.content = parse_partition(args.content)
-    if hasattr(args, "n"):
-        if args.n < 1:
-            raise UsageError("--n must be a positive integer")
-        cfg.n = args.n
-    if hasattr(args, "max_n"):
-        if args.max_n < 0:
-            raise UsageError("--max-n must be nonnegative")
-        cfg.max_n = args.max_n
-    if hasattr(args, "format"):
-        cfg.format = args.format
-    if hasattr(args, "fast_paths"):
-        cfg.fast_paths = _fast_path_set(args.fast_paths)
-    if hasattr(args, "threads"):
-        if args.threads < 1:
-            raise UsageError("--threads must be >= 1")
-        cfg.threads = args.threads
-    if hasattr(args, "dump_tableaux"):
-        cfg.dump_tableaux = args.dump_tableaux
-    if hasattr(args, "oracle_ceiling"):
-        if args.oracle_ceiling < 0:
-            raise UsageError("--oracle-ceiling must be nonnegative")
-        cfg.oracle_ceiling = args.oracle_ceiling
-    # the environment variable wins over the flag
-    cfg.cache_path = os.environ.get("KOSTKA_CACHE") or getattr(args, "cache", None)
-    return cfg
 
 
 def _load_cache(path: str | None) -> tuple[KostkaCache, int | None]:
@@ -164,34 +131,11 @@ def _save_cache(cache: KostkaCache, path: str | None, loaded: int | None) -> Non
 
 def _compute_pairs(
     pairs: list[tuple[Partition, Partition]],
-    threads: int,
-    base: KostkaCache,
+    cache: KostkaCache,
     fast_paths: frozenset[str] = frozenset(),
 ) -> list[TPoly]:
-    """Evaluate all pairs in order; shards across per-worker cache clones.
-
-    Workers get disjoint pair ranges and private caches seeded from `base`;
-    the clones are merged back afterward, so the output and the final cache
-    are independent of the thread count.
-    """
-    if threads <= 1 or len(pairs) <= 1:
-        return [kostka_auto(s, c, base, fast_paths) for s, c in pairs]
-    shards = [pairs[t::threads] for t in range(threads)]
-    seeds = [base.clone() for _ in shards]
-
-    def work(task):
-        shard, local = task
-        return [kostka_auto(s, c, local, fast_paths) for s, c in shard]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        shard_values = list(pool.map(work, zip(shards, seeds)))
-    for local in seeds:
-        base.merge(local)
-    values: list[TPoly] = [None] * len(pairs)  # type: ignore[list-item]
-    for t, vals in enumerate(shard_values):
-        for k, v in enumerate(vals):
-            values[t + k * threads] = v
-    return values
+    """Evaluate all pairs in order, sharing one memo."""
+    return [kostka_auto(s, c, cache, fast_paths) for s, c in pairs]
 
 
 def _render_poly(value: TPoly, fmt: str) -> str:
@@ -202,63 +146,63 @@ def _render_poly(value: TPoly, fmt: str) -> str:
     return value.plain_str()
 
 
-def cmd_compute(cfg: RunConfig) -> int:
-    cache, loaded = _load_cache(cfg.cache_path)
-    value = kostka_auto(cfg.shape, cfg.content, cache, cfg.fast_paths)
-    if cfg.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["shape", "content", "polynomial"])
-        writer.writerow([format_partition(cfg.shape), format_partition(cfg.content),
-                         value.plain_str()])
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(_render_poly(value, cfg.format))
-    if cfg.dump_tableaux:
-        for t in enumerate_ssyt(cfg.shape, cfg.content):
-            print(json.dumps(t.to_json_obj()))
-    _save_cache(cache, cfg.cache_path, loaded)
-    return 0
-
-
-def cmd_table(cfg: RunConfig) -> int:
-    shapes = list(partitions_of(cfg.n))
-    pairs = [(s, c) for s in shapes for c in shapes if dominates(s, c)]
-    cache, loaded = _load_cache(cfg.cache_path)
-    values = _compute_pairs(pairs, cfg.threads, cache, cfg.fast_paths)
-    if cfg.format == "csv":
+def _print_rows(pairs: list[tuple[Partition, Partition]], values: list[TPoly], fmt: str) -> None:
+    """One (shape, content, polynomial) row per pair; CSV comes with a header."""
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["shape", "content", "polynomial"])
         for (s, c), v in zip(pairs, values):
             writer.writerow([format_partition(s), format_partition(c), v.plain_str()])
         sys.stdout.write(buf.getvalue())
-    elif cfg.format == "json":
+    elif fmt == "json":
         for (s, c), v in zip(pairs, values):
             print(json.dumps({"shape": list(s), "content": list(c),
                               "polynomial": v.to_json_obj()}))
-    elif cfg.format == "latex":
+    elif fmt == "latex":
         for (s, c), v in zip(pairs, values):
             print(f"{format_partition(s)} & {format_partition(c)} & {v.latex_str()} \\\\")
     else:
         for (s, c), v in zip(pairs, values):
             print(f"{format_partition(s)}\t{format_partition(c)}\t{v.plain_str()}")
-    _save_cache(cache, cfg.cache_path, loaded)
+
+
+def cmd_compute(args: argparse.Namespace) -> int:
+    cache, loaded = _load_cache(args.cache)
+    value = kostka_auto(args.shape, args.content, cache, FAST_PATHS[args.fast_paths])
+    if args.format == "csv":
+        _print_rows([(args.shape, args.content)], [value], "csv")
+    else:
+        print(_render_poly(value, args.format))
+    if args.dump_tableaux:
+        for t in enumerate_ssyt(args.shape, args.content):
+            print(json.dumps(t.to_json_obj()))
+    _save_cache(cache, args.cache, loaded)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    cache, _ = _load_cache(cfg.cache_path)
+def cmd_table(args: argparse.Namespace) -> int:
+    shapes = list(partitions_of(args.n))
+    pairs = [(s, c) for s in shapes for c in shapes if dominates(s, c)]
+    cache, loaded = _load_cache(args.cache)
+    values = _compute_pairs(pairs, cache, FAST_PATHS[args.fast_paths])
+    _print_rows(pairs, values, args.format)
+    _save_cache(cache, args.cache, loaded)
+    return 0
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    cache, _ = _load_cache(args.cache)
     mismatches: list[tuple[Partition, Partition, str, str, str]] = []
 
     def record(s, c, got, expected, oracle):
         mismatches.append((s, c, str(got), str(expected), oracle))
 
     pairs_checked = 0
-    for n in range(1, cfg.max_n + 1):
+    for n in range(1, args.max_n + 1):
         parts = list(partitions_of(n))
         pairs = [(s, c) for s in parts for c in parts]
-        values = _compute_pairs(pairs, cfg.threads, cache)
+        values = _compute_pairs(pairs, cache)
         for (s, c), r in zip(pairs, values):
             pairs_checked += 1
             chg = kostka_via_charge(s, c)
@@ -286,34 +230,36 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 2 if mismatches else 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    cache, loaded = _load_cache(cfg.cache_path)
-    print(f"shape: {format_partition(cfg.shape)}")
-    print(f"content: {format_partition(cfg.content)}")
+def cmd_bench(args: argparse.Namespace) -> int:
+    shape, content = args.shape, args.content
+    fast_paths = FAST_PATHS[args.fast_paths]
+    cache, loaded = _load_cache(args.cache)
+    print(f"shape: {format_partition(shape)}")
+    print(f"content: {format_partition(content)}")
 
     t0 = time.perf_counter()
-    value = kostka(cfg.shape, cfg.content, cache)
+    value = kostka(shape, content, cache)
     recursion_s = time.perf_counter() - t0
     print(f"recursion: {recursion_s * 1000:.3f} ms "
           f"({len(cache)} cache entries, {cache.hits} hits, {cache.misses} misses)")
 
     status = 0
-    if cfg.fast_paths:
+    if fast_paths:
         audit: dict = {}
         t0 = time.perf_counter()
-        fast_value = kostka_auto(cfg.shape, cfg.content, None, cfg.fast_paths, audit)
+        fast_value = kostka_auto(shape, content, None, fast_paths, audit)
         fast_s = time.perf_counter() - t0
         print(f"dispatch: {audit['path']} path in {fast_s * 1000:.3f} ms")
         if fast_value != value:
             print(f"mismatch: fast path {audit['path']} disagrees with recursion")
             status = 2
 
-    count = kostka_number(cfg.shape, cfg.content)
-    if count > cfg.oracle_ceiling:
-        print(f"charge oracle skipped: {count} tableaux exceeds ceiling {cfg.oracle_ceiling}")
+    count = kostka_number(shape, content)
+    if count > args.oracle_ceiling:
+        print(f"charge oracle skipped: {count} tableaux exceeds ceiling {args.oracle_ceiling}")
     else:
         t0 = time.perf_counter()
-        charge_value = kostka_via_charge(cfg.shape, cfg.content)
+        charge_value = kostka_via_charge(shape, content)
         charge_s = time.perf_counter() - t0
         print(f"charge oracle: {count} tableaux in {charge_s * 1000:.3f} ms")
         if charge_value != value:
@@ -323,7 +269,7 @@ def cmd_bench(cfg: RunConfig) -> int:
             ratio = charge_s / max(recursion_s, 1e-9)
             print(f"speedup: recursion {ratio:.1f}x faster than charge oracle")
 
-    _save_cache(cache, cfg.cache_path, loaded)
+    _save_cache(cache, args.cache, loaded)
     return status
 
 
@@ -331,21 +277,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
     except UsageError as exc:
         print(f"kostka: error: {exc}", file=sys.stderr)
         return 1
-    except PartitionParseError as exc:
-        print(f"kostka: error: {exc}", file=sys.stderr)
-        return 1
+    # the environment variable wins over the flag
+    args.cache = os.environ.get("KOSTKA_CACHE") or args.cache
     try:
-        if cfg.command == "compute":
-            return cmd_compute(cfg)
-        if cfg.command == "table":
-            return cmd_table(cfg)
-        if cfg.command == "verify":
-            return cmd_verify(cfg)
-        return cmd_bench(cfg)
+        if args.command == "compute":
+            return cmd_compute(args)
+        if args.command == "table":
+            return cmd_table(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        return cmd_bench(args)
     except CacheFormatError as exc:
         print(f"kostka: cache error: {exc}", file=sys.stderr)
         return 2

@@ -59,8 +59,7 @@ class KostkaCache:
     """Memo table keyed by prefix-reduced (shape, content) pairs.
 
     Entries are write-once: a second put with a different value is an
-    invariant violation.  Sharing between threads is by cloning before and
-    merging after; correctness never depends on a hit.
+    invariant violation.  Correctness never depends on a hit.
     """
 
     def __init__(self) -> None:
@@ -90,15 +89,6 @@ class KostkaCache:
 
     def items(self) -> list[tuple[KostkaKey, TPoly]]:
         return sorted(self._entries.items())
-
-    def clone(self) -> "KostkaCache":
-        twin = KostkaCache()
-        twin._entries = dict(self._entries)
-        return twin
-
-    def merge(self, other: "KostkaCache") -> None:
-        for (shape, content), value in other._entries.items():
-            self.put(shape, content, value)
 
     def save(self, path: str) -> None:
         """One record per line: shape TAB content TAB polynomial JSON.

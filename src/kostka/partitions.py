@@ -95,11 +95,6 @@ def dominates(a: Partition, b: Partition) -> bool:
     return len(a) <= len(b) and sum(a) == sum(b) and all(map(ge, accumulate(a), accumulate(b)))
 
 
-def multiplicity(p: Partition, i: int) -> int:
-    """Number of parts equal to i."""
-    return sum(1 for x in p if x == i)
-
-
 def hook_lengths(p: Partition) -> list[int]:
     """Hook length of every cell: arm plus leg plus one, row-major order."""
     conj = conjugate(p)

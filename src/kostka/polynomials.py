@@ -24,8 +24,6 @@ from functools import lru_cache
 from itertools import count
 from operator import itemgetter
 
-from .partitions import Partition, multiplicity
-
 
 class NotDivisible(ArithmeticError):
     """Polynomial division left a remainder where an exact quotient was required."""
@@ -193,14 +191,6 @@ class TPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "TPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, e: int) -> "TPoly":
         """Multiply by t**e; e must be nonnegative."""
         if e < 0:
@@ -359,7 +349,6 @@ def _exact_sum(a: TPoly, b: TPoly, negate: bool) -> TPoly:
 
 ZERO = _new(0, 0, 64, 0)
 ONE = _new(1, 0, 64, 1)
-T = _new(1, 1, 64, 1)
 
 
 def t_integer(n: int) -> TPoly:
@@ -422,11 +411,3 @@ def exact_divide(a: TPoly, b: TPoly) -> TPoly:
         _not_divisible_count += 1
         raise NotDivisible(f"({a}) is not divisible by ({b})")
     return _from_dense(q, a._v - b._v)
-
-
-def norm_factor(p: Partition) -> TPoly:
-    """Hall-Littlewood norm factor: (1 - t)^length * product of [multiplicity]!."""
-    out = TPoly({0: 1, 1: -1}) ** len(p)
-    for v in sorted(set(p)):
-        out = out * t_factorial(multiplicity(p, v))
-    return out

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+import threading
 
 import pytest
 
+import kostka.cli
 from kostka.cli import main
 from kostka.core import KostkaCache
 from kostka.partitions import partitions_of
@@ -145,9 +149,17 @@ def test_missing_required_flag_exits_1(capsys):
 
 
 def test_bad_numbers_exit_1(capsys):
-    assert run(capsys, "table", "--n", "0")[0] == 1
-    assert run(capsys, "table", "--n", "3", "--threads", "0")[0] == 1
-    assert run(capsys, "verify", "--max-n", "-1")[0] == 1
+    bench = ["bench", "--shape", "2,1", "--content", "1,1,1"]
+    for argv, flag, token in [
+        (["table", "--n", "0"], "--n", "0"),
+        (["table", "--n", "x"], "--n", "x"),
+        (["table", "--n", "3", "--threads", "0"], "--threads", "0"),
+        (["verify", "--max-n", "-1"], "--max-n", "-1"),
+        (bench + ["--oracle-ceiling", "-1"], "--oracle-ceiling", "-1"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert flag in err and repr(token) in err
 
 
 # --- table ---
@@ -187,6 +199,31 @@ def test_table_threads_do_not_change_output(capsys):
     _, single, _ = run(capsys, "table", "--n", "5", "--threads", "1")
     _, multi, _ = run(capsys, "table", "--n", "5", "--threads", "4")
     assert single == multi
+
+
+def test_threads_flag_starts_no_thread(capsys, monkeypatch):
+    expected = [run(capsys, "table", "--n", "6", "--threads", "1"),
+                run(capsys, "verify", "--max-n", "3", "--threads", "1")]
+
+    def refuse(self):
+        raise AssertionError("evaluation started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    got = [run(capsys, "table", "--n", "6", "--threads", "8"),
+           run(capsys, "verify", "--max-n", "3", "--threads", "3")]
+    assert [code for code, _, _ in got] == [0, 0]
+    assert [out for _, out, _ in got] == [out for _, out, _ in expected]
+
+
+def test_import_leaves_out_the_pool_and_dataclasses():
+    probe = ("import sys, kostka.cli; "
+             "print(sorted({'concurrent.futures', 'dataclasses'} & set(sys.modules)))")
+    # `-c` puts the working directory first on sys.path: this checkout's package
+    src = os.path.dirname(os.path.dirname(kostka.cli.__file__))
+    result = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True,
+                            text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_table_json_rows_round_trip(capsys):

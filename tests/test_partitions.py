@@ -9,7 +9,6 @@ from kostka.partitions import (
     format_partition,
     hook_lengths,
     horizontal_strip_additions,
-    multiplicity,
     parse_partition,
     partition,
     partitions_of,
@@ -96,12 +95,6 @@ def test_conjugate_involution_small_weights():
     for n in range(13):
         for p in partitions_of(n):
             assert conjugate(conjugate(p)) == p
-
-
-def test_multiplicity():
-    assert multiplicity((2, 2, 1, 1), 2) == 2
-    assert multiplicity((2, 2, 1, 1), 3) == 0
-    assert multiplicity((1, 1, 1, 1), 1) == 4
 
 
 def test_hook_lengths():

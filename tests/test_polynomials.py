@@ -9,7 +9,6 @@ from kostka.polynomials import (
     TPoly,
     ZERO,
     exact_divide,
-    norm_factor,
     not_divisible_count,
     t_binomial,
     t_factorial,
@@ -233,14 +232,6 @@ def test_hook_product_divides_weight_factorial():
             for h in hook_lengths(p):
                 denom = denom * t_integer(h)
             exact_divide(t_factorial(n), denom)  # must not raise
-
-
-# --- norm factor ---
-
-def test_norm_factor():
-    assert norm_factor(()) == ONE
-    assert norm_factor((1, 1)) == TPoly({0: 1, 1: -1, 2: -1, 3: 1})
-    assert norm_factor((2, 1)) == TPoly({0: 1, 1: -2, 2: 1})
 
 
 # --- rendering and JSON ---
