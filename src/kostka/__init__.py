@@ -49,6 +49,7 @@ from .polynomials import (
     t_binomial,
     t_factorial,
     t_integer,
+    t_quotient,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ returned for a valid pair is a polynomial with nonnegative coefficients.
 Closed forms cover one-row shapes, hook shapes and single-column contents;
 `kostka_auto` dispatches between them and the general iteration, and a
 common leading run of equal parts in shape and content can always be chopped
-off first (`prefix_reduce`).
+off first (`prefix_reduce`).  Inside the iteration, every subproblem below
+the root with single-column content is finished by the column closed form.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .partitions import (
     weight,
     weighted_size,
 )
-from .polynomials import ONE, TPoly, ZERO, exact_divide, t_binomial, t_factorial, t_integer
+from .polynomials import ONE, TPoly, ZERO, t_binomial, t_quotient
 
 
 class PreconditionViolated(ValueError):
@@ -216,9 +217,11 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
     interpreter recursion.  A frame is [key, branches]: branches is None until
     the frame is expanded, then (i, size, children) triples in which a child
     is its value when the memo already had it, or its key while it still has
-    to be computed on a frame above.  Vanishing pairs are remembered in
-    `zeros` for this call only and never persisted.  Every child lookup is
-    counted in the cache's hits or misses.
+    to be computed on a frame above.  A missing child with single-column
+    content is a leaf: `kostka_column` computes it and it is memoized at
+    once, never pushed.  The root is always iterated.  Vanishing pairs are
+    remembered in `zeros` for this call only and never persisted.  Every
+    child lookup is counted in the cache's hits or misses; a leaf is one miss.
     """
     memo = cache._entries
     zeros: set[KostkaKey] = set()
@@ -255,6 +258,12 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
                         children.append(value)
                         continue
                     misses += 1
+                    if child[1][0] == 1:
+                        # a content starting with 1 is all ones: a column leaf
+                        value = kostka_column(child[0])
+                        cache.put(child[0], child[1], value)
+                        children.append(value)
+                        continue
                     if child in zeros:
                         continue
                     if not dominates(child[0], child[1]):
@@ -300,15 +309,14 @@ def kostka_hook(n: int, k: int, content: Partition) -> TPoly:
 
 
 def kostka_column(shape: Partition) -> TPoly:
-    """Closed form for single-column content: shifted hook-product quotient.
+    """Closed form for single-column content: t^n(shape') [n]! / prod [h].
 
-    The quotient is provably exact; NotDivisible escaping here means a bug.
+    Written as prod (1 - t^a), a = 1..n, over prod (1 - t^h), h the hook
+    lengths; the quotient is provably exact, so NotDivisible escaping here
+    means a bug.
     """
     n = weight(shape)
-    denom = ONE
-    for h in hook_lengths(shape):
-        denom = denom * t_integer(h)
-    return exact_divide(t_factorial(n), denom).shift(weighted_size(conjugate(shape)))
+    return t_quotient(range(1, n + 1), hook_lengths(shape)).shift(weighted_size(conjugate(shape)))
 
 
 def kostka_auto(

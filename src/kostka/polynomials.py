@@ -21,8 +21,8 @@ import sys
 from array import array
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import count
-from operator import itemgetter
+from itertools import accumulate, count
+from operator import itemgetter, sub
 
 
 class NotDivisible(ArithmeticError):
@@ -365,9 +365,10 @@ def t_factorial(n: int) -> TPoly:
     """[n]! = [n][n-1]...[1], with [0]! = 1."""
     if n < 0:
         raise ValueError("t-factorial of a negative integer")
-    if n == 0:
-        return ONE
-    return t_factorial(n - 1) * t_integer(n)
+    value = ONE
+    for i in range(2, n + 1):
+        value = value * t_integer(i)
+    return value
 
 
 @lru_cache(maxsize=None)
@@ -377,7 +378,49 @@ def t_binomial(n: int, k: int) -> TPoly:
         raise ValueError("negative argument to t-binomial")
     if k > n:
         return ZERO
-    return exact_divide(t_factorial(n), t_factorial(k) * t_factorial(n - k))
+    return t_quotient(range(n - k + 1, n + 1), range(1, k + 1))
+
+
+def t_quotient(numer: Iterable[int], denom: Iterable[int]) -> TPoly:
+    """prod (1 - t^a) over a in numer, divided by prod (1 - t^b) over b in denom.
+
+    Factors common to both multisets cancel first.  The rest works on one
+    dense coefficient list: each (1 - t^a) is a shift and subtract, and each
+    (1 - t^b) divides by the recurrence q_i = p_i + q_(i-b), one running sum
+    per residue class mod b.  The numerator is complete before the first
+    division, so every partial quotient is exact when the whole one is;
+    anything left above the quotient's degree raises NotDivisible.
+    """
+    global _not_divisible_count
+    numer, denom = list(numer), list(denom)
+    factors = numer + denom
+    if min(factors, default=1) < 1:
+        raise ValueError("t-quotient factors need positive exponents")
+    counts = [0] * (max(factors, default=0) + 1)
+    for a in numer:
+        counts[a] += 1
+    for b in denom:
+        counts[b] -= 1
+    p = [1]
+    for a, c in enumerate(counts):
+        for _ in range(c):
+            q = p + [0] * a
+            q[a:] = map(sub, q[a:], p)
+            p = q
+    # the largest divisors first, so that the list shrinks soonest
+    for b in range(len(counts) - 1, 0, -1):
+        for _ in range(-counts[b]):
+            top = len(p) - b  # the quotient's length
+            # a residue class at or above `top` holds one entry: nothing to sum
+            for r in range(min(b, top)):
+                p[r::b] = accumulate(p[r::b])
+            if top < 1 or any(p[top:]):
+                _not_divisible_count += 1
+                raise NotDivisible(
+                    f"1 - t^{b} does not divide the product of 1 - t^a over a in {numer}"
+                )
+            del p[top:]
+    return _from_dense(p, 0)
 
 
 def exact_divide(a: TPoly, b: TPoly) -> TPoly:

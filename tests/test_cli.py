@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ import kostka.cli
 from kostka.cli import main
 from kostka.core import KostkaCache
 from kostka.partitions import partitions_of
-from kostka.polynomials import TPoly
+from kostka.polynomials import TPoly, t_binomial, t_factorial
 
 
 def run(capsys, *argv):
@@ -82,6 +83,22 @@ def test_compute_deep_pair_without_fast_paths_runs_the_iteration(capsys):
     code, out, _ = run(capsys, "compute", "--shape", "1100", "--content", "1^1100")
     assert code == 0
     assert out == "t^604450\n"
+
+
+@pytest.mark.parametrize("content, flag", [("1^1200", "column"), ("2,1^1198", "hook")])
+def test_closed_forms_at_n_1200_are_fast_and_agree_with_the_iteration(capsys, content, flag):
+    # neither closed form builds [n]!, so a cold t-factorial cache costs nothing
+    t_factorial.cache_clear()
+    t_binomial.cache_clear()
+    argv = ["compute", "--shape", "1199,1", "--content", content]
+    start = time.perf_counter()
+    code, fast, err = run(capsys, *argv, "--fast-paths", flag)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and not err
+    assert elapsed < 1.0
+    code, iterated, _ = run(capsys, *argv)
+    assert code == 0
+    assert fast == iterated
 
 
 def test_compute_dump_tableaux(capsys):

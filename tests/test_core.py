@@ -21,8 +21,8 @@ from kostka.core import (
     recursion_children,
 )
 from kostka.oracles import kostka_via_charge
-from kostka.partitions import dominates, partitions_of, weighted_size
-from kostka.polynomials import ONE, TPoly, ZERO
+from kostka.partitions import conjugate, dominates, hook_lengths, partitions_of, weighted_size
+from kostka.polynomials import ONE, TPoly, ZERO, exact_divide, t_factorial, t_integer
 
 
 def peak_bytes(fn):
@@ -88,13 +88,26 @@ def test_kostka_without_cache_memoizes_like_a_fresh_cache(monkeypatch):
     calls.clear()
     cache = KostkaCache()
     assert kostka(shape, content, cache) == uncached
-    assert len(calls) == uncached_calls == len(cache)
+    # every entry below the root with single-column content is a leaf, memoized
+    # by the column closed form without being expanded
+    leaves = [(s, c) for (s, c), _ in cache.items() if c[0] == 1 and (s, c) != (shape, content)]
+    assert leaves
+    assert len(calls) == uncached_calls == len(cache) - len(leaves)
+    for s, c in leaves:
+        assert cache.get(s, c) == kostka_column(s)
 
 
 def test_content_longer_than_the_recursion_limit_computes():
     # one frame per content part, far past the interpreter's recursion limit
-    assert 5000 > sys.getrecursionlimit()
+    k = 3000
+    assert k > sys.getrecursionlimit()
+    assert kostka((2 * k,), (2,) * k) == TPoly.term(1, k * (k - 1))
+
+
+def test_single_column_content_is_one_leaf_below_the_root():
+    # the root's only child is a column leaf, so no memo key holds a long suffix
     assert kostka((5000,), (1,) * 5000) == TPoly.term(1, 12497500)
+    assert peak_bytes(lambda: kostka((5000,), (1,) * 5000)) < 8 * 2**20
 
 
 def test_cache_counts_every_child_lookup():
@@ -184,6 +197,17 @@ def test_kostka_column_values():
     # one-row shape: agrees with the one-row formula on single-column content
     for n in range(1, 8):
         assert kostka_column((n,)) == kostka_one_row((1,) * n) == TPoly({n * (n - 1) // 2: 1})
+
+
+def test_kostka_column_matches_factorial_division():
+    # the reference divides [n]! by the hook t-integers with long division
+    for n in range(13):
+        for shape in partitions_of(n):
+            denom = ONE
+            for h in hook_lengths(shape):
+                denom = denom * t_integer(h)
+            expected = exact_divide(t_factorial(n), denom).shift(weighted_size(conjugate(shape)))
+            assert kostka_column(shape) == expected, shape
 
 
 # --- dispatch ---

@@ -1,4 +1,5 @@
-from math import comb
+import sys
+from math import comb, factorial
 
 from hypothesis import given, settings, strategies as st
 import pytest
@@ -13,6 +14,7 @@ from kostka.polynomials import (
     t_binomial,
     t_factorial,
     t_integer,
+    t_quotient,
 )
 
 
@@ -155,6 +157,22 @@ def test_t_factorial():
     assert t_factorial(3) == TPoly({0: 1, 1: 2, 2: 2, 3: 1})
 
 
+def test_t_factorial_is_not_recursive():
+    # a cold [150]! with only 50 interpreter frames to spare
+    t_factorial.cache_clear()
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        value = t_factorial(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value.degree() == 150 * 149 // 2
+    assert value.evaluate(1) == factorial(150)
+
+
 def test_t_binomial_edges_and_values():
     for n in range(8):
         assert t_binomial(n, 0) == ONE
@@ -193,6 +211,13 @@ def test_t_binomial_telescoped_recurrence():
             assert t_binomial(n, k) == total
 
 
+def test_t_binomial_matches_factorial_division():
+    for n in range(17):
+        for k in range(n + 1):
+            expected = exact_divide(t_factorial(n), t_factorial(k) * t_factorial(n - k))
+            assert t_binomial(n, k) == expected
+
+
 # --- exact division ---
 
 def test_exact_divide_fixtures():
@@ -212,6 +237,25 @@ def test_exact_divide_signals_not_divisible():
     assert not_divisible_count() == before + 2
     with pytest.raises(ZeroDivisionError):
         exact_divide(ONE, ZERO)
+
+
+def test_t_quotient_cancels_and_divides():
+    assert t_quotient([], []) == ONE
+    assert t_quotient([3, 5], [5, 3]) == ONE
+    assert t_quotient([6], [2]) == TPoly({0: 1, 2: 1, 4: 1})
+    assert t_quotient([2, 3], [1, 1]) == t_integer(2) * t_integer(3)
+    with pytest.raises(ValueError):
+        t_quotient([0], [])
+
+
+def test_t_quotient_signals_not_divisible():
+    before = not_divisible_count()
+    with pytest.raises(NotDivisible):
+        t_quotient([2], [3])
+    assert not_divisible_count() == before + 1
+    with pytest.raises(NotDivisible):
+        t_quotient([6], [2, 3])  # each factor divides, the product does not
+    assert not_divisible_count() == before + 2
 
 
 @settings(max_examples=300)
