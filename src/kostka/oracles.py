@@ -3,12 +3,18 @@
 Three routes to the same numbers, none sharing logic with the polynomial
 iteration they check: explicit tableau enumeration, the charge statistic on
 reading words, and a strip-peeling count that never materializes a tableau.
+
+The enumeration builds each tableau letter by letter, one horizontal strip
+of equal letters at a time, and the count peels one letter at a time; both
+run as loops over explicit lists, so no oracle meets a recursion limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate
+from operator import add
 
 from .partitions import Partition, dominates, weight
 from .polynomials import TPoly
@@ -72,39 +78,64 @@ def is_semistandard(t: Tableau) -> bool:
 def enumerate_ssyt(shape: Partition, content: Partition) -> list[Tableau]:
     """All semistandard tableaux of the given shape and content.
 
-    Row-by-row backtracking with column-strictness pruning; results come out
-    in row-major lexicographic order.  Empty when the weights differ or the
-    shape does not dominate the content.
+    The cells holding letters 1..v form a shape, and the v's form a
+    horizontal strip on top of the shape of 1..v-1.  A top-down pass removes
+    the strips of v = k..1 from `shape`, keeping an inner shape only when it
+    dominates the content prefix it must hold, which is exactly when it has
+    a filling, so no branch dead-ends.  A bottom-up pass then builds the
+    fillings of each kept shape once, extending every filling of an inner
+    shape by its strip.  Results come out in row-major lexicographic order.
+    Empty when the weights differ or the shape does not dominate the content.
     """
     if weight(shape) != weight(content) or not dominates(shape, content):
         return []
-    letters = len(content)
-    remaining = list(content)
-    rows = [[0] * r for r in shape]
     nrows = len(shape)
-    out: list[Tableau] = []
+    prefix = [0, *accumulate(content)]
+    strips = []  # for v = k..1: {shape of 1..v: [(shape of 1..v-1, strip of v's)]}
+    level = {shape}
+    for v in range(len(content), 0, -1):
+        below = {outer: _strips_of_letter(outer, v, content[v - 1], prefix, nrows)
+                 for outer in level}
+        strips.append(below)
+        level = {inner for pairs in below.values() for inner, _ in pairs}
+    fillings: dict[Partition, list] = {(): [((),) * nrows]}
+    for below in reversed(strips):
+        fillings = {outer: [tuple(map(add, rows, ext))
+                            for inner, ext in pairs for rows in fillings[inner]]
+                    for outer, pairs in below.items()}
+    return [Tableau(rows) for rows in sorted(fillings[shape])]
 
-    def fill(r: int, c: int) -> None:
-        if r == nrows:
-            out.append(Tableau(rows))
-            return
-        if c + 1 < shape[r]:
-            nr, nc = r, c + 1
-        else:
-            nr, nc = r + 1, 0
-        lo = rows[r][c - 1] if c else 1
-        if r:
-            above = rows[r - 1][c] + 1
-            if above > lo:
-                lo = above
-        for v in range(lo, letters + 1):
-            if remaining[v - 1]:
-                remaining[v - 1] -= 1
-                rows[r][c] = v
-                fill(nr, nc)
-                remaining[v - 1] += 1
 
-    fill(0, 0)
+def _strips_of_letter(outer: Partition, v: int, m: int, prefix: list[int],
+                      nrows: int) -> list[tuple[Partition, tuple]]:
+    """Each inner shape left by removing a horizontal m-strip of v's from
+    `outer` that dominates the content prefix of letters 1..v-1, with the
+    strip as `nrows` row tuples of v's.
+
+    Only the last row of each run of equal parts can lose boxes.  From one
+    such row to the row before the next, the boxes removed so far stay
+    fixed, and the inner shape dominates iff they never exceed the lead of
+    `outer`'s partial sums over the prefix's there.
+    """
+    ends = [j for j in range(len(outer)) if j + 1 == len(outer) or outer[j + 1] < outer[j]]
+    lead = [s - prefix[min(j + 1, v - 1)] for j, s in enumerate(accumulate(outer))]
+    ways = [((), 0)]  # (boxes removed at ends[:i], their total)
+    for i, j in enumerate(ends):
+        below = outer[j + 1] if j + 1 < len(outer) else 0
+        room = min(lead[j: ends[i + 1] if i + 1 < len(ends) else None])
+        # the later ends can lose at most `below` boxes in all
+        ways = [(taken + (r,), total + r)
+                for taken, total in ways
+                for r in range(max(0, m - total - below),
+                               min(outer[j] - below, room - total, m - total) + 1)]
+    out = []
+    for taken, _ in ways:
+        inner = list(outer)
+        strip = [()] * nrows
+        for j, r in zip(ends, taken):
+            inner[j] -= r
+            strip[j] = (v,) * r
+        out.append((tuple(inner[:-1]) if not inner[-1] else tuple(inner), tuple(strip)))
     return out
 
 
@@ -125,35 +156,33 @@ def charge(word: tuple[int, ...], content: Partition) -> int:
     exists; stop at the first absent letter and delete the picks.  Each
     extracted subword, read in original left-to-right order, contributes
     the sum of its letter indices: letter 1 has index 0 and the index grows
-    by one exactly when a letter sits left of its predecessor.
+    by one exactly when a letter sits left of its predecessor, that is, when
+    its pick wrapped around.
     """
-    counts: dict[int, int] = {}
-    for v in word:
-        counts[v] = counts.get(v, 0) + 1
-    expected = {i: m for i, m in enumerate(content, 1)}
-    if counts != expected:
-        raise ContentMismatch(f"word multiplicities {counts} != content {expected}")
-
-    positions: dict[int, list[int]] = {}
+    k = len(content)
+    # positions[v]: where letter v occurs, left to right; positions[k + 1] stays empty
+    positions: list[list[int]] = [[] for _ in range(k + 2)]
+    if word and not (1 <= min(word) and max(word) <= k):
+        raise ContentMismatch(f"word letters {min(word)}..{max(word)} outside 1..{k}")
     for i, v in enumerate(word):
-        positions.setdefault(v, []).append(i)
+        positions[v].append(i)
+    counts = list(map(len, positions[1:k + 1]))
+    if counts != list(content):
+        raise ContentMismatch(f"word multiplicities {counts} != content {list(content)}")
 
     total = 0
-    while positions.get(1):
-        cur = positions[1].pop(0)
-        pos_of = {1: cur}
-        v = 2
-        while positions.get(v):
-            plist = positions[v]
-            j = bisect_right(plist, cur)
-            cur = plist.pop(j) if j < len(plist) else plist.pop(0)
-            pos_of[v] = cur
-            v += 1
+    for cur in positions[1]:
         idx = 0
-        for r in range(2, v):
-            if pos_of[r] < pos_of[r - 1]:
+        v = 2
+        while plist := positions[v]:
+            j = bisect_right(plist, cur)
+            if j < len(plist):
+                cur = plist.pop(j)
+            else:
+                cur = plist.pop(0)
                 idx += 1
             total += idx
+            v += 1
     return total
 
 
@@ -167,38 +196,54 @@ def kostka_via_charge(shape: Partition, content: Partition) -> TPoly:
 
 
 def kostka_number(shape: Partition, content: Partition) -> int:
-    """Tableau count by peeling one letter at a time; no tableau is built."""
+    """Tableau count by peeling one letter at a time; no tableau is built.
+
+    The count of (shape, content) is the sum of the counts of (inner, content
+    minus its last part) over the inner shapes that a horizontal strip of
+    the last letter leaves.  A depth-first walk on an explicit stack fills
+    in the counts, which `_peel_counts` shares across calls.
+    """
     if weight(shape) != weight(content):
         return 0
-    return _peel_count(shape, content)
+    counts = _peel_counts()
+    root = (shape, content)
+    stack: list[tuple[tuple[Partition, Partition], list | None]] = [(root, None)]
+    while stack:
+        key, inners = stack.pop()
+        if inners is not None:
+            counts[key] = sum(map(counts.__getitem__, inners))
+        elif key not in counts:
+            s, c = key
+            rest = c[:-1]
+            inners = [(inner, rest) for inner in _strip_removals(s, c[-1])]
+            stack.append((key, inners))
+            stack += [(k, None) for k in inners if k not in counts]
+    return counts[root]
 
 
-@lru_cache(maxsize=None)
-def _peel_count(shape: Partition, content: Partition) -> int:
-    if not content:
-        return 1 if not shape else 0
-    size = content[-1]
-    rest = content[:-1]
-    return sum(_peel_count(inner, rest) for inner in _strip_removals(shape, size))
+@lru_cache(maxsize=1)
+def _peel_counts() -> dict[tuple[Partition, Partition], int]:
+    # one dict for the process; cache_clear() starts a new one.  Weights stay
+    # equal while peeling, so an empty content is reached only with an empty shape
+    return {((), ()): 1}
 
 
 def _strip_removals(shape: Partition, m: int) -> list[Partition]:
-    # all sigma with shape/sigma a horizontal m-strip: shape_j >= sigma_j >= shape_{j+1}
-    l = len(shape)
-    out: list[Partition] = []
-    row = [0] * l
-
-    def fill(j: int, left: int) -> None:
-        if left < 0:
-            return
-        if j == l:
-            if left == 0:
-                out.append(tuple(row[:l]) if not l or row[l - 1] else tuple(row[: l - 1]))
-            return
-        lo = shape[j + 1] if j + 1 < l else 0
-        for v in range(shape[j], lo - 1, -1):
-            row[j] = v
-            fill(j + 1, left - (shape[j] - v))
-
-    fill(0, m)
-    return out
+    # all sigma with shape/sigma a horizontal m-strip: shape_j >= sigma_j >= shape_{j+1}.
+    # Only the last row of each run of equal parts can lose boxes, and it must
+    # leave at most `below` boxes to remove, as the rows under it hold no more
+    ways = [((), m)]  # (rows of sigma so far, boxes still to remove)
+    start = 0
+    for j, x in enumerate(shape):
+        below = shape[j + 1] if j + 1 < len(shape) else 0
+        if below == x:
+            continue
+        run = shape[start:j]
+        start = j + 1
+        # y boxes stay in row j: y >= below, 0 <= left - (x - y) <= below; spelled
+        # as conditional expressions because this is the hot loop
+        ways = [(rows + run + (y,), left - x + y)
+                for rows, left in ways
+                for y in range(x - left if x - left > below else below,
+                               x - left + below + 1 if left > below else x + 1)]
+    return [rows[:-1] if rows and not rows[-1] else rows for rows, left in ways if not left]

@@ -114,6 +114,21 @@ def test_compute_dump_tableaux(capsys):
     ]
 
 
+@pytest.mark.parametrize("shape, rows", [
+    ("1100", [list(range(1, 1101))]),
+    ("1^1100", [[v] for v in range(1, 1101)]),
+])
+def test_compute_dumps_the_single_tableau_of_a_deep_pair(capsys, shape, rows):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "compute", "--shape", shape, "--content", "1^1100",
+                         "--dump-tableaux")
+    assert time.perf_counter() - start < 10
+    assert code == 0 and not err
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1]) == {"shape": [len(r) for r in rows], "rows": rows}
+
+
 def test_compute_cache_persists(capsys, tmp_path):
     path = tmp_path / "memo.tsv"
     code, first, _ = run(capsys, "compute", "--shape", "4,2,1", "--content", "2,2,1,1,1",
@@ -300,6 +315,24 @@ def test_verify_flags_poisoned_cache_value(capsys, tmp_path):
     assert "mismatch" in out
 
 
+def test_verify_column_check_does_not_share_the_engine_closed_form(capsys, monkeypatch, tmp_path):
+    # a wrong kostka_column reaches verify through the memo entries that the
+    # engine's column leaves wrote; the column check must still disagree
+    import kostka.core
+
+    real = kostka.core.kostka_column
+    monkeypatch.setattr(kostka.core, "kostka_column", lambda shape: real(shape).shift(1))
+    monkeypatch.setattr(kostka.cli, "kostka_column", kostka.core.kostka_column, raising=False)
+    path = tmp_path / "memo.tsv"
+    code, _, _ = run(capsys, "compute", "--shape", "3,1,1", "--content", "1^5",
+                     "--cache", str(path))
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--cache", str(path))
+    assert code == 2
+    assert ("mismatch: shape=2,1,1 content=1,1,1,1 got=t^2 + t^3 + t^4 "
+            "expected=t + t^2 + t^3 oracle=column") in out.splitlines()
+
+
 # --- bench ---
 
 def test_bench_tiny_input(capsys):
@@ -330,3 +363,13 @@ def test_bench_respects_oracle_ceiling(capsys):
                        "--oracle-ceiling", "1")
     assert code == 0
     assert "charge oracle skipped: 4 tableaux exceeds ceiling 1" in out
+
+
+@pytest.mark.parametrize("shape, content", [("400", "1^400"), ("1^1100", "1^1100")])
+def test_bench_runs_the_charge_oracle_on_deep_pairs(capsys, shape, content):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "bench", "--shape", shape, "--content", content)
+    assert time.perf_counter() - start < 10
+    assert code == 0 and not err
+    assert "charge oracle: 1 tableaux in" in out
+    assert "mismatch" not in out

@@ -1,5 +1,11 @@
-import pytest
+import ast
+import inspect
+from bisect import bisect_right
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import kostka.oracles
 from kostka.oracles import (
     ContentMismatch,
     Tableau,
@@ -10,8 +16,132 @@ from kostka.oracles import (
     kostka_via_charge,
     reading_word,
 )
-from kostka.partitions import dominates, partitions_of
+from kostka.partitions import dominates, partitions_of, weight
 from kostka.polynomials import ONE, TPoly
+
+
+# --- references: the cell-by-cell enumeration and dict-based charge they replaced ---
+
+def reference_enumerate_ssyt(shape, content):
+    """Row-by-row backtracking over cells, in row-major lexicographic order."""
+    if weight(shape) != weight(content) or not dominates(shape, content):
+        return []
+    letters = len(content)
+    remaining = list(content)
+    rows = [[0] * r for r in shape]
+    nrows = len(shape)
+    out = []
+
+    def fill(r, c):
+        if r == nrows:
+            out.append(Tableau(rows))
+            return
+        if c + 1 < shape[r]:
+            nr, nc = r, c + 1
+        else:
+            nr, nc = r + 1, 0
+        lo = rows[r][c - 1] if c else 1
+        if r:
+            above = rows[r - 1][c] + 1
+            if above > lo:
+                lo = above
+        for v in range(lo, letters + 1):
+            if remaining[v - 1]:
+                remaining[v - 1] -= 1
+                rows[r][c] = v
+                fill(nr, nc)
+                remaining[v - 1] += 1
+
+    fill(0, 0)
+    return out
+
+
+def reference_charge(word, content):
+    """Charge by standard subwords, with picks kept in a dict per subword."""
+    counts = {}
+    for v in word:
+        counts[v] = counts.get(v, 0) + 1
+    expected = {i: m for i, m in enumerate(content, 1)}
+    if counts != expected:
+        raise ContentMismatch(f"word multiplicities {counts} != content {expected}")
+    positions = {}
+    for i, v in enumerate(word):
+        positions.setdefault(v, []).append(i)
+    total = 0
+    while positions.get(1):
+        cur = positions[1].pop(0)
+        pos_of = {1: cur}
+        v = 2
+        while positions.get(v):
+            plist = positions[v]
+            j = bisect_right(plist, cur)
+            cur = plist.pop(j) if j < len(plist) else plist.pop(0)
+            pos_of[v] = cur
+            v += 1
+        idx = 0
+        for r in range(2, v):
+            if pos_of[r] < pos_of[r - 1]:
+                idx += 1
+            total += idx
+    return total
+
+
+def all_pairs(max_n):
+    for n in range(max_n + 1):
+        ps = list(partitions_of(n))
+        for shape in ps:
+            for content in ps:
+                yield shape, content
+
+
+def test_enumeration_and_charge_match_the_references():
+    for shape, content in all_pairs(8):
+        found = enumerate_ssyt(shape, content)
+        assert found == reference_enumerate_ssyt(shape, content), (shape, content)
+        coeffs = {}
+        for t in found:
+            e = reference_charge(reading_word(t), content)
+            coeffs[e] = coeffs.get(e, 0) + 1
+        assert kostka_via_charge(shape, content) == TPoly(coeffs), (shape, content)
+
+
+@st.composite
+def words(draw):
+    """A partition content and a shuffled word of it, sometimes spoiled."""
+    content = tuple(sorted(draw(st.lists(st.integers(1, 4), max_size=6)), reverse=True))
+    word = [v for v, m in enumerate(content, 1) for _ in range(m)]
+    spoil = draw(st.sampled_from(["none", "zero", "above", "extra", "missing"]))
+    if spoil == "zero":
+        word.append(0)
+    elif spoil == "above":
+        word.append(len(content) + draw(st.integers(1, 3)))
+    elif spoil == "extra" and content:
+        word.append(draw(st.integers(1, len(content))))
+    elif spoil == "missing" and word:
+        word.pop(draw(st.integers(0, len(word) - 1)))
+    return tuple(draw(st.permutations(word))), content
+
+
+@settings(max_examples=300)
+@given(words())
+def test_charge_matches_the_reference(case):
+    word, content = case
+    try:
+        expected = reference_charge(word, content)
+    except ContentMismatch:
+        with pytest.raises(ContentMismatch):
+            charge(word, content)
+    else:
+        assert charge(word, content) == expected
+
+
+def test_oracles_define_no_recursive_function():
+    tree = ast.parse(inspect.getsource(kostka.oracles))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            called = {n.func.id for n in ast.walk(node)
+                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+            assert node.name not in called, node.name
 
 
 # --- enumeration ---
@@ -102,7 +232,7 @@ def test_kostka_via_charge_fixtures():
     assert kostka_via_charge((), ()) == ONE
 
 
-# --- counting recursion ---
+# --- peel count ---
 
 def test_kostka_number_fixtures():
     assert kostka_number((3, 2, 1), (2, 2, 1, 1)) == 4
@@ -126,3 +256,14 @@ def test_kostka_number_vanishes_with_dominance():
         for shape in ps:
             for content in ps:
                 assert (kostka_number(shape, content) > 0) == dominates(shape, content)
+
+
+def test_kostka_number_counts_are_shared_until_cleared():
+    kostka.oracles._peel_counts.cache_clear()
+    assert kostka_number((3, 2, 1), (2, 2, 1, 1)) == 4
+    counts = kostka.oracles._peel_counts()
+    assert ((3, 2, 1), (2, 2, 1, 1)) in counts
+    assert kostka_number((3, 2, 1), (2, 2, 1, 1)) == 4
+    assert kostka.oracles._peel_counts() is counts
+    kostka.oracles._peel_counts.cache_clear()
+    assert ((3, 2, 1), (2, 2, 1, 1)) not in kostka.oracles._peel_counts()
