@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from math import prod
 
 from .core import (
     ALL_FAST_PATHS,
@@ -55,17 +56,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        if action.option_strings and arg_strings == ["--"]:  # "--flag=--" would skip the type
+            raise UsageError(f"argument {action.option_strings[0]}: expected a value, got '--'")
+        return super()._get_values(action, arg_strings)
+
 
 def _at_least(low: int):
-    """An argparse type: an integer >= low; the message names the bad token."""
+    """An argparse type: an integer >= low in ASCII digits; the message names the bad token."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = low - 1
-        if value < low:
+        if not (text.isascii() and text.removeprefix("-").isdigit()) or int(text) < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
+        return int(text)
     return parse
 
 
@@ -200,9 +202,7 @@ def _column_reference(shape: Partition) -> TPoly:
     The iteration finishes every column subproblem with `kostka_column`'s
     cancelled quotient, so the column check compares against this instead.
     """
-    hooks = ONE
-    for h in hook_lengths(shape):
-        hooks = hooks * t_integer(h)
+    hooks = prod(map(t_integer, hook_lengths(shape)), start=ONE)
     return exact_divide(t_factorial(weight(shape)), hooks).shift(weighted_size(conjugate(shape)))
 
 

@@ -219,12 +219,11 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
     is its value when the memo already had it, or its key while it still has
     to be computed on a frame above.  A missing child with single-column
     content is a leaf: `kostka_column` computes it and it is memoized at
-    once, never pushed.  The root is always iterated.  Vanishing pairs are
-    remembered in `zeros` for this call only and never persisted.  Every
-    child lookup is counted in the cache's hits or misses; a leaf is one miss.
+    once, never pushed.  The root is always iterated.  A vanishing child costs
+    a dominance test each time it is met and is never memoized.  Every child
+    lookup is counted in the cache's hits or misses; a leaf is one miss.
     """
     memo = cache._entries
-    zeros: set[KostkaKey] = set()
     hits = misses = 0
     stack: list[list] = [[root, None]]
     while stack:
@@ -264,10 +263,7 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
                         cache.put(child[0], child[1], value)
                         children.append(value)
                         continue
-                    if child in zeros:
-                        continue
                     if not dominates(child[0], child[1]):
-                        zeros.add(child)
                         continue
                     children.append(child)
                     stack.append([child, None])
@@ -329,7 +325,7 @@ def kostka_auto(
     """Dispatch to an applicable closed form, else the general iteration.
 
     The value never depends on `fast_paths`; `audit`, when given, records
-    which route produced the result plus the prefix-reduced pair.
+    which route produced the result under "path".
     """
     fp = frozenset(fast_paths)
     s, c = prefix_reduce(shape, content)
@@ -347,6 +343,4 @@ def kostka_auto(
         path, value = "recursion", kostka(s, c, cache)
     if audit is not None:
         audit["path"] = path
-        audit["shape"] = s
-        audit["content"] = c
     return value

@@ -4,16 +4,17 @@ Three routes to the same numbers, none sharing logic with the polynomial
 iteration they check: explicit tableau enumeration, the charge statistic on
 reading words, and a strip-peeling count that never materializes a tableau.
 
-The enumeration builds each tableau letter by letter, one horizontal strip
-of equal letters at a time, and the count peels one letter at a time; both
-run as loops over explicit lists, so no oracle meets a recursion limit.
+Both the enumeration and the count peel one letter's horizontal strip at a
+time with `_strip_removals`, the enumeration keeping only the inner shapes
+that dominate the content left to place.  Both loop over explicit lists, so
+no oracle meets a recursion limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import zip_longest
 from operator import add
 
 from .partitions import Partition, dominates, weight
@@ -79,8 +80,9 @@ def enumerate_ssyt(shape: Partition, content: Partition) -> list[Tableau]:
     """All semistandard tableaux of the given shape and content.
 
     The cells holding letters 1..v form a shape, and the v's form a
-    horizontal strip on top of the shape of 1..v-1.  A top-down pass removes
-    the strips of v = k..1 from `shape`, keeping an inner shape only when it
+    horizontal strip on top of the shape of 1..v-1.  A top-down pass peels
+    the strips of v = k..1 from `shape` with `_strip_removals`, the routine
+    `kostka_number` counts with, and keeps an inner shape only when it
     dominates the content prefix it must hold, which is exactly when it has
     a filling, so no branch dead-ends.  A bottom-up pass then builds the
     fillings of each kept shape once, extending every filling of an inner
@@ -90,12 +92,17 @@ def enumerate_ssyt(shape: Partition, content: Partition) -> list[Tableau]:
     if weight(shape) != weight(content) or not dominates(shape, content):
         return []
     nrows = len(shape)
-    prefix = [0, *accumulate(content)]
     strips = []  # for v = k..1: {shape of 1..v: [(shape of 1..v-1, strip of v's)]}
     level = {shape}
     for v in range(len(content), 0, -1):
-        below = {outer: _strips_of_letter(outer, v, content[v - 1], prefix, nrows)
-                 for outer in level}
+        below = {}
+        for outer in level:
+            pairs = below[outer] = []
+            for inner in _strip_removals(outer, content[v - 1]):
+                if dominates(inner, content[:v - 1]):
+                    # outer_j - inner_j v's in row j, padded to all rows of `shape`
+                    strip = [(v,) * (o - i) for o, i in zip_longest(outer, inner, fillvalue=0)]
+                    pairs.append((inner, tuple(strip) + ((),) * (nrows - len(outer))))
         strips.append(below)
         level = {inner for pairs in below.values() for inner, _ in pairs}
     fillings: dict[Partition, list] = {(): [((),) * nrows]}
@@ -104,39 +111,6 @@ def enumerate_ssyt(shape: Partition, content: Partition) -> list[Tableau]:
                             for inner, ext in pairs for rows in fillings[inner]]
                     for outer, pairs in below.items()}
     return [Tableau(rows) for rows in sorted(fillings[shape])]
-
-
-def _strips_of_letter(outer: Partition, v: int, m: int, prefix: list[int],
-                      nrows: int) -> list[tuple[Partition, tuple]]:
-    """Each inner shape left by removing a horizontal m-strip of v's from
-    `outer` that dominates the content prefix of letters 1..v-1, with the
-    strip as `nrows` row tuples of v's.
-
-    Only the last row of each run of equal parts can lose boxes.  From one
-    such row to the row before the next, the boxes removed so far stay
-    fixed, and the inner shape dominates iff they never exceed the lead of
-    `outer`'s partial sums over the prefix's there.
-    """
-    ends = [j for j in range(len(outer)) if j + 1 == len(outer) or outer[j + 1] < outer[j]]
-    lead = [s - prefix[min(j + 1, v - 1)] for j, s in enumerate(accumulate(outer))]
-    ways = [((), 0)]  # (boxes removed at ends[:i], their total)
-    for i, j in enumerate(ends):
-        below = outer[j + 1] if j + 1 < len(outer) else 0
-        room = min(lead[j: ends[i + 1] if i + 1 < len(ends) else None])
-        # the later ends can lose at most `below` boxes in all
-        ways = [(taken + (r,), total + r)
-                for taken, total in ways
-                for r in range(max(0, m - total - below),
-                               min(outer[j] - below, room - total, m - total) + 1)]
-    out = []
-    for taken, _ in ways:
-        inner = list(outer)
-        strip = [()] * nrows
-        for j, r in zip(ends, taken):
-            inner[j] -= r
-            strip[j] = (v,) * r
-        out.append((tuple(inner[:-1]) if not inner[-1] else tuple(inner), tuple(strip)))
-    return out
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ def partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-_TOKEN = re.compile(r"(\d+)(?:\^(\d+))?\Z")
+_TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?\Z")
 
 
 def parse_partition(text: str) -> Partition:

@@ -362,13 +362,15 @@ def t_integer(n: int) -> TPoly:
 
 @lru_cache(maxsize=None)
 def t_factorial(n: int) -> TPoly:
-    """[n]! = [n][n-1]...[1], with [0]! = 1."""
+    """[n]! = [n][n-1]...[1], with [0]! = 1, on a dense list packed once: coefficient
+    k of p [i] is the running sum of p up to k minus the running sum up to k - i."""
     if n < 0:
         raise ValueError("t-factorial of a negative integer")
-    value = ONE
+    p = [1]
     for i in range(2, n + 1):
-        value = value * t_integer(i)
-    return value
+        sums = list(accumulate(p + [0] * (i - 1)))
+        p = sums[:i] + list(map(sub, sums[i:], sums))
+    return _from_dense(p, 0)
 
 
 @lru_cache(maxsize=None)

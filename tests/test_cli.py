@@ -62,6 +62,13 @@ def test_compute_bad_partition_exits_1(capsys):
     code, _, err = run(capsys, "compute", "--shape", "3,zebra,1", "--content", "2,2")
     assert code == 1
     assert "zebra" in err
+    for argv, flag, token in [
+        (["--shape", "\u0663", "--content", "3"], "--shape", "\u0663"),
+        (["--shape", "2,1", "--content", "\uff12,\uff11"], "--content", "\uff12"),
+    ]:
+        code, out, err = run(capsys, "compute", *argv)
+        assert code == 1 and out == ""
+        assert flag in err and repr(token) in err
 
 
 def test_compute_fast_paths_match(capsys):
@@ -188,6 +195,12 @@ def test_bad_numbers_exit_1(capsys):
         (["table", "--n", "3", "--threads", "0"], "--threads", "0"),
         (["verify", "--max-n", "-1"], "--max-n", "-1"),
         (bench + ["--oracle-ceiling", "-1"], "--oracle-ceiling", "-1"),
+        (["table", "--n", "\u0663"], "--n", "\u0663"),
+        (["verify", "--max-n", "\uff13"], "--max-n", "\uff13"),
+        (["table", "--n", "1_0"], "--n", "1_0"),
+        (bench + ["--oracle-ceiling", "+5"], "--oracle-ceiling", "+5"),
+        (["verify", "--max-n=--"], "--max-n", "--"),
+        (["compute", "--shape=--", "--content", "1"], "--shape", "--"),
     ]:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""

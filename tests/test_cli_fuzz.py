@@ -1,4 +1,4 @@
-"""Fuzz of the oracle-facing commands through the in-process `main`.
+"""Fuzz of the commands through the in-process `main`.
 
 Every call must return an exit code from the contract (0 success, 1 usage
 or parse error, 2 mismatch), print no traceback, and finish within a
@@ -6,19 +6,26 @@ per-call time budget.
 """
 
 import io
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from kostka.cli import FAST_PATHS, main
-from kostka.partitions import PartitionParseError, format_partition, parse_partition
+from kostka.cli import FAST_PATHS, FORMATS, main
+from kostka.partitions import (
+    PartitionParseError,
+    dominates,
+    format_partition,
+    parse_partition,
+    partitions_of,
+)
 
 BUDGET_S = 10.0
 FUZZ = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
-def call(argv: list[str]) -> tuple[int, str]:
+def call(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):
@@ -27,7 +34,7 @@ def call(argv: list[str]) -> tuple[int, str]:
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     assert elapsed < BUDGET_S, (argv, elapsed)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite
@@ -56,9 +63,9 @@ def row_and_column_pairs(draw):
 
 def check_oracle_commands(shape, content, fast_paths: str) -> None:
     s, c = format_partition(shape), format_partition(content)
-    code, out = call(["bench", "--shape", s, "--content", c, "--fast-paths", fast_paths])
+    code, out, _ = call(["bench", "--shape", s, "--content", c, "--fast-paths", fast_paths])
     assert code == 0 and "mismatch" not in out, (s, c, out)
-    code, out = call(["compute", "--shape", s, "--content", c, "--dump-tableaux"])
+    code, _, _ = call(["compute", "--shape", s, "--content", c, "--dump-tableaux"])
     assert code == 0, (s, c)
 
 
@@ -79,7 +86,8 @@ def test_oracle_commands_on_rows_and_columns(pair):
 good_tokens = st.builds(lambda v, e: str(v) if e is None else f"{v}^{e}",
                         st.integers(1, 9), st.none() | st.integers(0, 9))
 bad_tokens = st.one_of(
-    st.sampled_from(["", "0", "-1", "1.5", "^2", "2^", "2^^2", "2^-1", "1e3", "0^3", "3^1^2"]),
+    st.sampled_from(["", "0", "-1", "1.5", "^2", "2^", "2^^2", "2^-1", "1e3", "0^3", "3^1^2",
+                     "\u0663", "\uff12", "2^\u0663", "1_0"]),
     st.text(alphabet="abxyz.;:+*/~# ", min_size=1, max_size=4),
 )
 malformed = st.builds(lambda head, bad, tail: ",".join([*head, bad, *tail]),
@@ -92,8 +100,47 @@ malformed = st.builds(lambda head, bad, tail: ",".join([*head, bad, *tail]),
 def test_malformed_partitions_are_refused(text, command, in_shape):
     shape, content = (text, "2,1") if in_shape else ("2,1", text)
     argv = [command, "--shape", shape, "--content", content]
-    code, out = call(argv + (["--dump-tableaux"] if command == "compute" else []))
+    code, out, err = call(argv + (["--dump-tableaux"] if command == "compute" else []))
     try:
         parse_partition(text)
     except PartitionParseError:
         assert code == 1 and out == "", argv
+        assert ("--shape" if in_shape else "--content") in err, argv
+
+
+@settings(FUZZ, max_examples=8)
+@given(st.integers(1, 6), st.sampled_from(sorted(FAST_PATHS)))
+def test_table_in_every_format(n, fast_paths):
+    ps = list(partitions_of(n))
+    rows = sum(dominates(s, c) for s in ps for c in ps)
+    for fmt in FORMATS:
+        code, out, _ = call(["table", "--n", str(n), "--format", fmt, "--fast-paths", fast_paths])
+        assert code == 0 and len(out.splitlines()) == rows + (fmt == "csv"), (n, fmt)
+
+
+@settings(FUZZ, max_examples=6)
+@given(st.integers(0, 5))
+def test_verify_at_small_n(max_n):
+    code, out, _ = call(["verify", "--max-n", str(max_n)])
+    pairs = sum(len(list(partitions_of(n))) ** 2 for n in range(1, max_n + 1))
+    assert code == 0 and out.splitlines()[-1] == f"0 mismatches / {pairs} pairs"
+
+
+NUMBER_FLAGS = [(["table"], "--n", 1), (["verify"], "--max-n", 0),
+                (["bench", "--shape", "2,1", "--content", "1,1,1"], "--oracle-ceiling", 0)]
+bad_numbers = st.one_of(
+    st.sampled_from(["", " ", "-", "--", "+", "+1", "1.0", "1e1", "0x1", " 1", "1_0",
+                     "\u0663", "\uff13", "-\u0663"]),
+    st.text(alphabet="019-+._e \u0663\uff13", min_size=1, max_size=4),
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(st.sampled_from(NUMBER_FLAGS), bad_numbers)
+def test_malformed_numbers_are_refused(command, text):
+    head, flag, low = command
+    assume(not (re.fullmatch(r"-?[0-9]+", text) and int(text) >= low))
+    # the "=" form hands a text that starts with "-" to the flag, not to the option parser
+    code, out, err = call([*head, f"{flag}={text}"])
+    assert code == 1 and out == "", (flag, text)
+    assert flag in err and repr(text) in err, (flag, text, err)

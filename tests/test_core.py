@@ -2,6 +2,7 @@ import json
 import os
 import sys
 import tracemalloc
+from math import factorial, prod
 
 import pytest
 
@@ -310,6 +311,21 @@ def test_monic_of_degree_weighted_size_gap():
                     top = weighted_size(c) - weighted_size(s)
                     assert value.degree() == top
                     assert value.coeff(top) == 1
+
+
+def test_table_identities_at_n_14():
+    # K(0) is the identity matrix, and sum_shape f^shape K[shape, content](1)
+    # counts the words of the content: n! / prod content_i!
+    n = 14
+    ps = list(partitions_of(n))
+    cache = KostkaCache()
+    table = {(s, c): kostka(s, c, cache) for s in ps for c in ps if dominates(s, c)}
+    for (s, c), value in table.items():
+        assert value.coeff(0) == (1 if s == c else 0), (s, c)
+    f = {s: factorial(n) // prod(hook_lengths(s)) for s in ps}
+    for c in ps:
+        words = sum(f[s] * table[s, c].evaluate(1) for s in ps if (s, c) in table)
+        assert words == factorial(n) // prod(map(factorial, c)), c
 
 
 # --- cache behavior ---

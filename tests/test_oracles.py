@@ -3,9 +3,10 @@ import inspect
 from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import kostka.oracles
+from kostka.core import kostka as engine
 from kostka.oracles import (
     ContentMismatch,
     Tableau,
@@ -142,6 +143,30 @@ def test_oracles_define_no_recursive_function():
             called = {n.func.id for n in ast.walk(node)
                       if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
             assert node.name not in called, node.name
+
+
+@st.composite
+def pairs_beyond_the_references(draw):
+    """A dominating pair with 9 <= n <= 14 and at most 2,000 tableaux."""
+    parts = list(partitions_of(draw(st.integers(9, 14))))
+    a, b = draw(st.sampled_from(parts)), draw(st.sampled_from(parts))
+    # dominance implies the lexicographic order, so the larger is the only candidate shape
+    shape, content = max(a, b), min(a, b)
+    assume(dominates(shape, content) and kostka_number(shape, content) <= 2000)
+    return shape, content
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(pairs_beyond_the_references())
+def test_enumeration_and_charge_match_the_engine_beyond_the_references(pair):
+    shape, content = pair
+    value = engine(shape, content)
+    found = enumerate_ssyt(shape, content)
+    assert len(found) == len(set(found)) == value.evaluate(1)
+    assert kostka_via_charge(shape, content) == value
+    for t in found:
+        assert is_semistandard(t)
+        assert t.shape == shape and t.content == content
 
 
 # --- enumeration ---

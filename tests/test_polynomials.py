@@ -155,6 +155,8 @@ def test_t_factorial():
     assert t_factorial(0) == ONE
     assert t_factorial(2) == TPoly({0: 1, 1: 1})
     assert t_factorial(3) == TPoly({0: 1, 1: 2, 2: 2, 3: 1})
+    for n in range(1, 30):
+        assert t_factorial(n) == t_factorial(n - 1) * t_integer(n)
 
 
 def test_t_factorial_is_not_recursive():
