@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
 import time
+from itertools import chain
 from math import prod
 
 from .core import (
@@ -116,6 +116,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _cache_path_problem(path: str | None) -> str | None:
+    """Why `path` cannot hold a memo file, or None when it can (or is unset).
+
+    Checked before any computation, so a bad path costs no work and no
+    value is printed before the save fails.
+    """
+    if not path:
+        return None
+    if os.path.isdir(path):
+        return "is a directory"
+    parent = os.path.dirname(path)
+    if parent and not os.path.isdir(parent):
+        return f"directory {parent!r} does not exist"
+    return None
+
+
 def _load_cache(path: str | None) -> tuple[KostkaCache, int | None]:
     """The memo persisted at `path`, and its size when the file existed."""
     if path and os.path.exists(path):
@@ -154,12 +170,12 @@ def _render_poly(value: TPoly, fmt: str) -> str:
 def _print_rows(pairs: list[tuple[Partition, Partition]], values: list[TPoly], fmt: str) -> None:
     """One (shape, content, polynomial) row per pair; CSV comes with a header."""
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        # rows stream from a generator, and each distinct partition is
+        # formatted once: a table meets every partition of n many times
+        names = {p: format_partition(p) for p in set(chain.from_iterable(pairs))}
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["shape", "content", "polynomial"])
-        for (s, c), v in zip(pairs, values):
-            writer.writerow([format_partition(s), format_partition(c), v.plain_str()])
-        sys.stdout.write(buf.getvalue())
+        writer.writerows((names[s], names[c], v.plain_str()) for (s, c), v in zip(pairs, values))
     elif fmt == "json":
         for (s, c), v in zip(pairs, values):
             print(json.dumps({"shape": list(s), "content": list(c),
@@ -296,7 +312,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kostka: error: {exc}", file=sys.stderr)
         return 1
     # the environment variable wins over the flag
-    args.cache = os.environ.get("KOSTKA_CACHE") or args.cache
+    env_cache = os.environ.get("KOSTKA_CACHE")
+    source = "KOSTKA_CACHE" if env_cache else "--cache"
+    args.cache = env_cache or args.cache
+    problem = _cache_path_problem(args.cache)
+    if problem:
+        print(f"kostka: error: {source} {args.cache!r}: {problem}", file=sys.stderr)
+        return 1
     try:
         if args.command == "compute":
             return cmd_compute(args)

@@ -1,16 +1,26 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 import kostka.cli
+import kostka.core as engine
 from kostka.cli import main
 from kostka.core import KostkaCache
-from kostka.partitions import partitions_of
+from kostka.partitions import (
+    branch_shape,
+    dominates,
+    format_partition,
+    horizontal_strip_additions,
+    partitions_of,
+)
 from kostka.polynomials import TPoly, t_binomial, t_factorial
 
 
@@ -179,6 +189,62 @@ def test_env_var_overrides_cache_flag(capsys, tmp_path, monkeypatch):
     assert not flag_path.exists()
 
 
+def _refuse_to_compute(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the cache path was checked")
+
+    monkeypatch.setattr(kostka.cli, "kostka_auto", refuse)
+
+
+@pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("command", [["compute", "--shape", "1", "--content", "1"],
+                                     ["table", "--n", "3"]])
+def test_cache_path_that_cannot_hold_a_memo_is_refused_first(capsys, tmp_path, monkeypatch,
+                                                              via_env, command):
+    _refuse_to_compute(monkeypatch)
+    missing = tmp_path / "missing" / "memo.tsv"
+    for path, problem in ((tmp_path, "is a directory"), (missing, "does not exist")):
+        argv = list(command)
+        if via_env:
+            monkeypatch.setenv("KOSTKA_CACHE", str(path))
+        else:
+            argv += ["--cache", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert ("KOSTKA_CACHE" if via_env else "--cache") in err
+        assert repr(str(path)) in err and problem in err
+        assert "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_cache_file_that_is_not_utf8_names_the_file_and_line(capsys, tmp_path):
+    path = tmp_path / "memo.tsv"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "compute", "--shape", "1", "--content", "1",
+                         "--cache", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}: line 1: not UTF-8" in err
+    # past the text decoder's first chunk the line number is still exact
+    code, _, _ = run(capsys, "table", "--n", "9", "--cache", str(path.with_name("good.tsv")))
+    good = path.with_name("good.tsv").read_bytes()
+    assert code == 0 and len(good) > 4 * 8192
+    path.write_bytes(good + b"2\t1,1\t[[1,\"\xe9\"]]\n" + good)
+    bad_line = good.count(b"\n") + 1
+    code, out, err = run(capsys, "compute", "--shape", "1", "--content", "1",
+                         "--cache", str(path))
+    assert code == 2 and out == ""
+    assert f"{path}: line {bad_line}: not UTF-8" in err
+
+
+def test_deeply_nested_cache_value_is_a_format_error(capsys, tmp_path):
+    path = tmp_path / "memo.tsv"
+    path.write_text("2,1\t1,1,1\t" + "[" * 100_000 + "\n")
+    code, out, err = run(capsys, "compute", "--shape", "1", "--content", "1",
+                         "--cache", str(path))
+    assert code == 2 and out == ""
+    assert "line 1: key 2,1 / 1,1,1" in err and "Traceback" not in err
+
+
 # --- usage errors ---
 
 def test_missing_required_flag_exits_1(capsys):
@@ -238,6 +304,53 @@ def test_table_row_count_is_dominating_pair_count(capsys):
     code, out, _ = run(capsys, "table", "--n", "6")
     assert code == 0
     assert len(out.splitlines()) == expected + 1  # header
+
+
+def test_table_csv_matches_one_writerow_per_row(capsys):
+    ps = list(partitions_of(7))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["shape", "content", "polynomial"])
+    for s in ps:
+        for c in ps:
+            if dominates(s, c):
+                value = engine.kostka(s, c).plain_str()
+                writer.writerow([format_partition(s), format_partition(c), value])
+    code, out, _ = run(capsys, "table", "--n", "7", "--format", "csv")
+    assert code == 0 and out == buf.getvalue()
+    lines = out.splitlines()
+    # one-part partitions are left unquoted, multi-part ones quoted
+    assert lines[1:3] == ["7,7,1", '7,"6,1",t']
+    assert '"6,1","6,1",1' in lines
+
+
+@pytest.mark.parametrize("argv", [["table", "--n", "12"], ["verify", "--max-n", "8"]])
+def test_each_strip_fan_out_is_enumerated_once(capsys, monkeypatch, argv):
+    requested, strips = [], Counter()
+    recursion_children = engine.recursion_children
+
+    def counted_children(shape, head):
+        requested.append((shape, head))
+        return recursion_children(shape, head)
+
+    def counted_strips(p, m):
+        strips[p, m] += 1
+        return horizontal_strip_additions(p, m)
+
+    monkeypatch.setattr(engine, "recursion_children", counted_children)
+    monkeypatch.setattr(engine, "horizontal_strip_additions", counted_strips)
+    recursion_children.cache_clear()
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    keys = set(requested)
+    assert len(requested) > 2 * len(keys)  # the engine asks for most keys again
+    once_per_key = Counter(
+        (branch_shape(shape, i), shape[i - 1] - head - i + 1)
+        for shape, head in keys
+        for i in range(1, len(shape) + 1)
+        if shape[i - 1] - head - i + 1 >= 0
+    )
+    assert strips == once_per_key
 
 
 def test_table_threads_do_not_change_output(capsys):

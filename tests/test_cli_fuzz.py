@@ -6,9 +6,12 @@ per-call time budget.
 """
 
 import io
+import os
 import re
+import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
@@ -144,3 +147,42 @@ def test_malformed_numbers_are_refused(command, text):
     code, out, err = call([*head, f"{flag}={text}"])
     assert code == 1 and out == "", (flag, text)
     assert flag in err and repr(text) in err, (flag, text, err)
+
+
+CACHE_COMMANDS = [["compute", "--shape", "2,1", "--content", "1,1,1"], ["table", "--n", "3"],
+                  ["verify", "--max-n", "2"], ["bench", "--shape", "2,1", "--content", "1,1,1"]]
+not_memo_files = st.one_of(
+    st.sampled_from(["directory", "missing directory"]),
+    st.binary(max_size=64),
+    st.text(alphabet="12,^-\t\n\r[]\"{} :x\x00\u00e9", max_size=64),
+)
+
+
+@settings(FUZZ, max_examples=60)
+@given(not_memo_files, st.booleans(), st.sampled_from(CACHE_COMMANDS))
+@example("directory", True, CACHE_COMMANDS[0])
+@example("missing directory", False, CACHE_COMMANDS[1])
+@example(b"\xff\xfe\x00", False, CACHE_COMMANDS[0])
+@example("2,1\t1,1,1\t" + "[" * 100_000, True, CACHE_COMMANDS[2])
+def test_cache_values_that_are_not_memo_files(kind, via_env, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "memo.tsv")
+        if kind == "directory":
+            path = tmp
+        elif kind == "missing directory":
+            path = os.path.join(tmp, "missing", "memo.tsv")
+        else:
+            with open(path, "wb") as fh:
+                fh.write(kind if isinstance(kind, bytes) else kind.encode())
+        env = {"KOSTKA_CACHE": path} if via_env else {}
+        argv = command if via_env else [*command, "--cache", path]
+        with mock.patch.dict(os.environ, env):
+            if not via_env:
+                os.environ.pop("KOSTKA_CACHE", None)
+            code, out, err = call(argv)
+    source = "KOSTKA_CACHE" if via_env else "--cache"
+    if kind in ("directory", "missing directory"):
+        assert code == 1 and out == "" and source in err and repr(path) in err, (kind, err)
+    elif code == 2:
+        # a memo that parses may still hold a value that a check flags on stdout
+        assert "kostka: cache error: " in err or "mismatch" in out, (kind, err)

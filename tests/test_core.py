@@ -7,6 +7,7 @@ from math import factorial, prod
 import pytest
 
 import kostka.core as engine
+from kostka.cli import FAST_PATHS
 from kostka.core import (
     ALL_FAST_PATHS,
     CacheConflictError,
@@ -22,7 +23,16 @@ from kostka.core import (
     recursion_children,
 )
 from kostka.oracles import kostka_via_charge
-from kostka.partitions import conjugate, dominates, hook_lengths, partitions_of, weighted_size
+from kostka.partitions import (
+    branch_shape,
+    conjugate,
+    dominates,
+    hook_lengths,
+    horizontal_strip_additions,
+    partitions_of,
+    weight,
+    weighted_size,
+)
 from kostka.polynomials import ONE, TPoly, ZERO, exact_divide, t_factorial, t_integer
 
 
@@ -96,6 +106,13 @@ def test_kostka_without_cache_memoizes_like_a_fresh_cache(monkeypatch):
     assert len(calls) == uncached_calls == len(cache) - len(leaves)
     for s, c in leaves:
         assert cache.get(s, c) == kostka_column(s)
+
+
+def test_memo_keys_of_one_walk_share_each_content():
+    cache = KostkaCache()
+    kostka((6, 4, 3, 2), (3, 3, 2, 2, 2, 1, 1, 1), cache)
+    contents = [c for (_, c), _ in cache.items()]
+    assert len({id(c) for c in contents}) == len(set(contents)) < len(contents)
 
 
 def test_content_longer_than_the_recursion_limit_computes():
@@ -249,6 +266,34 @@ def test_kostka_auto_dispatch_audit():
     assert kostka_auto((4,), (2, 1, 1), fast_paths=frozenset({"one-row"})) == TPoly({3: 1})
 
 
+def _reference_dispatch(shape, content, fast_paths, cache):
+    """Route and value with the original full-scan predicates."""
+    s, c = prefix_reduce(shape, content)
+    if not dominates(s, c):
+        return "vanishing", ZERO
+    if not c:
+        return "empty", ONE
+    if len(s) == 1 and "one-row" in fast_paths:
+        return "one-row", kostka_one_row(c)
+    if all(x == 1 for x in c) and "column" in fast_paths:
+        return "column", kostka_column(s)
+    if len(s) >= 2 and all(x == 1 for x in s[1:]) and "hook" in fast_paths:
+        return "hook", kostka_hook(weight(s), len(s) - 1, c)
+    return "recursion", kostka(s, c, cache)
+
+
+def test_kostka_auto_routes_like_the_full_scan_predicates():
+    # every pair with n <= 9, dominating or not, under every --fast-paths value
+    pairs = [(s, c) for n in range(1, 10) for s in partitions_of(n) for c in partitions_of(n)]
+    for name, fast_paths in FAST_PATHS.items():
+        cache, reference_cache = KostkaCache(), KostkaCache()
+        for shape, content in pairs:
+            audit = {}
+            value = kostka_auto(shape, content, cache, fast_paths, audit)
+            path, expected = _reference_dispatch(shape, content, fast_paths, reference_cache)
+            assert (audit["path"], value) == (path, expected), (name, shape, content)
+
+
 # --- branch structure ---
 
 def test_recursion_children_depend_only_on_the_content_head():
@@ -257,8 +302,24 @@ def test_recursion_children_depend_only_on_the_content_head():
     assert [(i, size) for i, size, _ in children] == [(1, 3), (2, 0)]
     # branch 1 grows eleven shapes by a 3-strip, branch 2 exactly one by a 0-strip
     assert len(children[0][2]) == 11
-    assert children[1][2] == [(7, 3, 2)]
+    assert children[1][2] == ((7, 3, 2),)
     assert (7, 3, 2) in children[0][2]
+
+
+def test_recursion_children_cannot_be_altered_for_a_later_call():
+    recursion_children.cache_clear()
+    shape, head = (6, 4, 3, 2), 3
+    first = recursion_children(shape, head)
+    assert recursion_children(shape, head) is first  # served from the cache
+    with pytest.raises((TypeError, AttributeError)):
+        first[0][2].append((1,))
+    with pytest.raises(TypeError):
+        first[0] = (1, 0, ())
+    expected = tuple(
+        (i, size, tuple(horizontal_strip_additions(branch_shape(shape, i), size)))
+        for i, size in ((1, 3), (2, 0))
+    )
+    assert recursion_children(shape, head) == expected
 
 
 def test_recursion_has_at_most_length_many_branches():
