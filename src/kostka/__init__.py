@@ -16,7 +16,6 @@ from .core import (
 )
 from .oracles import (
     ContentMismatch,
-    Tableau,
     charge,
     enumerate_ssyt,
     kostka_number,

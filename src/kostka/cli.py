@@ -196,8 +196,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
     else:
         print(_render_poly(value, args.format))
     if args.dump_tableaux:
-        for t in enumerate_ssyt(args.shape, args.content):
-            print(json.dumps(t.to_json_obj()))
+        for rows in enumerate_ssyt(args.shape, args.content):
+            obj = {"shape": [len(r) for r in rows], "rows": [list(r) for r in rows]}
+            print(json.dumps(obj))
     _save_cache(cache, args.cache, loaded)
     return 0
 

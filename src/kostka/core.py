@@ -22,8 +22,6 @@ import functools
 import json
 import os
 import threading
-from collections.abc import Iterator
-from typing import TextIO
 
 from .partitions import (
     Partition,
@@ -133,9 +131,15 @@ class KostkaCache:
                 p = parsed[text] = parse_partition(text)
             return p
 
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in _numbered_lines(path, fh):
-                line = line.rstrip("\n")
+        with open(path, "rb") as fh:
+            for line_no, data in enumerate(fh, 1):
+                try:
+                    line = data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CacheFormatError(
+                        f"{path}: line {line_no}: not UTF-8 text ({exc.reason})"
+                    ) from None
+                line = line.removesuffix("\n").removesuffix("\r")
                 if not line:
                     continue
                 fields = line.split("\t")
@@ -162,25 +166,6 @@ class KostkaCache:
                 except CacheConflictError as exc:
                     raise CacheFormatError(f"line {line_no}: {exc}") from exc
         return cache
-
-
-def _numbered_lines(path: str, fh: TextIO) -> Iterator[tuple[int, str]]:
-    """(1-based number, text) per line of the UTF-8 file `path` open as `fh`.
-
-    Bytes that are not UTF-8 are a CacheFormatError naming the file and the
-    first line that holds them; the text decoder reads ahead in chunks, so
-    that line is found by a second, binary pass.
-    """
-    try:
-        yield from enumerate(fh, 1)
-    except UnicodeDecodeError as exc:
-        with open(path, "rb") as raw:
-            for line_no, data in enumerate(raw, 1):
-                try:
-                    data.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-        raise CacheFormatError(f"{path}: line {line_no}: not UTF-8 text ({exc.reason})") from None
 
 
 def prefix_reduce(shape: Partition, content: Partition) -> tuple[Partition, Partition]:

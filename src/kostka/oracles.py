@@ -25,46 +25,8 @@ class ContentMismatch(ValueError):
     """Word letter multiplicities disagree with the stated content."""
 
 
-class Tableau:
-    """Semistandard filling stored as a tuple of rows."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows) -> None:
-        self.rows = tuple(tuple(r) for r in rows)
-
-    @property
-    def shape(self) -> Partition:
-        return tuple(len(r) for r in self.rows)
-
-    @property
-    def content(self) -> Partition:
-        counts: dict[int, int] = {}
-        for row in self.rows:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-        if not counts:
-            return ()
-        return tuple(counts.get(v, 0) for v in range(1, max(counts) + 1))
-
-    def to_json_obj(self) -> dict:
-        return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tableau):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Tableau({[list(r) for r in self.rows]!r})"
-
-
-def is_semistandard(t: Tableau) -> bool:
+def is_semistandard(rows: tuple[tuple[int, ...], ...]) -> bool:
     """Rows weakly increase, columns strictly increase, row lengths weakly decrease."""
-    rows = t.rows
     for r, row in enumerate(rows):
         if any(row[c] < row[c - 1] for c in range(1, len(row))):
             return False
@@ -76,7 +38,7 @@ def is_semistandard(t: Tableau) -> bool:
     return True
 
 
-def enumerate_ssyt(shape: Partition, content: Partition) -> list[Tableau]:
+def enumerate_ssyt(shape: Partition, content: Partition) -> list[tuple[tuple[int, ...], ...]]:
     """All semistandard tableaux of the given shape and content.
 
     The cells holding letters 1..v form a shape, and the v's form a
@@ -86,7 +48,8 @@ def enumerate_ssyt(shape: Partition, content: Partition) -> list[Tableau]:
     dominates the content prefix it must hold, which is exactly when it has
     a filling, so no branch dead-ends.  A bottom-up pass then builds the
     fillings of each kept shape once, extending every filling of an inner
-    shape by its strip.  Results come out in row-major lexicographic order.
+    shape by its strip.  Each tableau is a tuple of its rows, top to bottom,
+    and they come out in row-major lexicographic order.
     Empty when the weights differ or the shape does not dominate the content.
     """
     if weight(shape) != weight(content) or not dominates(shape, content):
@@ -110,13 +73,13 @@ def enumerate_ssyt(shape: Partition, content: Partition) -> list[Tableau]:
         fillings = {outer: [tuple(map(add, rows, ext))
                             for inner, ext in pairs for rows in fillings[inner]]
                     for outer, pairs in below.items()}
-    return [Tableau(rows) for rows in sorted(fillings[shape])]
+    return sorted(fillings[shape])
 
 
-def reading_word(t: Tableau) -> tuple[int, ...]:
+def reading_word(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Rows top to bottom, each read right to left."""
     out: list[int] = []
-    for row in t.rows:
+    for row in rows:
         out.extend(reversed(row))
     return tuple(out)
 

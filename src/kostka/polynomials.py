@@ -167,14 +167,9 @@ class TPoly:
             return self
         return _new(-self._k, self._v, self._w, self._m)
 
-    def __mul__(self, other: "TPoly | int") -> "TPoly":
-        if isinstance(other, int):
-            if not other or not self._k:
-                return ZERO
-            m = self._m * abs(other)
-            if m >> (self._w - 1):
-                return _from_dense([c * other for c in _unpack(self._k, self._w)], self._v)
-            return _new(self._k * other, self._v, self._w, m)
+    def __mul__(self, other: "TPoly") -> "TPoly":
+        if not isinstance(other, TPoly):
+            return NotImplemented
         if not self._k or not other._k:
             return ZERO
         w = max(self._w, other._w)
@@ -188,8 +183,6 @@ class TPoly:
             a, b = a._repack(w), b._repack(w)
             return _from_dense(_unpack(a._k * b._k, w), v)
         return _new(a._k * b._k, v, w, m)
-
-    __rmul__ = __mul__
 
     def shift(self, e: int) -> "TPoly":
         """Multiply by t**e; e must be nonnegative."""

@@ -59,7 +59,7 @@ def small_pairs(draw):
 
 @st.composite
 def row_and_column_pairs(draw):
-    n = draw(st.integers(1, 1200))
+    n = draw(st.integers(1, 2000))
     shape, content = (draw(st.sampled_from([(n,), (1,) * n])) for _ in range(2))
     return shape, content
 
@@ -80,8 +80,8 @@ def test_oracle_commands_on_small_pairs(pair, fast_paths):
 
 @settings(FUZZ, max_examples=6)
 @given(row_and_column_pairs())
-@example(((1200,), (1,) * 1200))
-@example(((1,) * 1200, (1,) * 1200))
+@example(((2000,), (1,) * 2000))
+@example(((1,) * 2000, (1,) * 2000))
 def test_oracle_commands_on_rows_and_columns(pair):
     check_oracle_commands(*pair, "none")
 

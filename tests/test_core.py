@@ -416,6 +416,17 @@ def test_cache_save_load_round_trip(tmp_path):
     json.loads(first[2])
 
 
+def test_cache_load_reads_crlf_lines_and_skips_blank_ones(tmp_path):
+    cache = KostkaCache()
+    kostka((4, 2, 1), (2, 2, 1, 1, 1), cache)
+    path = tmp_path / "memo.tsv"
+    cache.save(str(path))
+    lines = path.read_bytes().splitlines()
+    assert len(lines) > 2
+    path.write_bytes(b"\r\n".join(lines[:2] + [b""] + lines[2:]) + b"\r\n")
+    assert KostkaCache.load(str(path)).items() == cache.items()
+
+
 def test_interrupted_save_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "memo.tsv"
     small = KostkaCache()

@@ -75,7 +75,6 @@ def test_add_sub_mul_basics():
     assert a * TPoly({0: 1, 1: 1, 2: 1}) == TPoly({0: 1, 1: 2, 2: 2, 3: 1})
     assert (a - a) == ZERO
     assert -a == TPoly({0: -1, 1: -1})
-    assert a * 3 == TPoly({0: 3, 1: 3})
 
 
 @settings(max_examples=1000)
