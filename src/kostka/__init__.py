@@ -17,6 +17,7 @@ from .core import (
 from .oracles import (
     ContentMismatch,
     charge,
+    charge_polynomials,
     enumerate_ssyt,
     kostka_number,
     kostka_via_charge,

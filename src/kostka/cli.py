@@ -25,7 +25,13 @@ from .core import (
     kostka_hook,
     kostka_one_row,
 )
-from .oracles import enumerate_ssyt, kostka_number, kostka_via_charge
+from .oracles import (
+    charge_by_tableaux,
+    charge_polynomials,
+    enumerate_ssyt,
+    kostka_number,
+    kostka_via_charge,
+)
 from .partitions import (
     Partition,
     PartitionParseError,
@@ -38,12 +44,13 @@ from .partitions import (
     weight,
     weighted_size,
 )
-from .polynomials import ONE, TPoly, exact_divide, t_factorial, t_integer
+from .polynomials import ONE, ZERO, TPoly, exact_divide, t_factorial, t_integer
 
 FORMATS = ("plain", "json", "csv", "latex")
 FAST_PATHS = {"none": frozenset(), "all": ALL_FAST_PATHS,
               **{name: frozenset({name}) for name in FAST_PATH_NAMES}}
 DEFAULT_ORACLE_CEILING = 10_000_000
+TABLEAU_CHECK_MAX_N = 6  # verify charges each tableau up to this n
 THREADS_HELP = "accepted for compatibility; evaluation is always serial"
 
 
@@ -205,7 +212,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     shapes = list(partitions_of(args.n))
-    pairs = [(s, c) for s in shapes for c in shapes if dominates(s, c)]
+    # dominance implies the lexicographic order, in which the shapes decrease
+    pairs = [(s, c) for i, s in enumerate(shapes) for c in shapes[i:] if dominates(s, c)]
     cache, loaded = _load_cache(args.cache)
     values = _compute_pairs(pairs, cache, FAST_PATHS[args.fast_paths])
     _print_rows(pairs, values, args.format)
@@ -235,11 +243,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         parts = list(partitions_of(n))
         pairs = [(s, c) for s in parts for c in parts]
         values = _compute_pairs(pairs, cache)
+        columns = {c: charge_polynomials(c) for c in parts}  # keyed by the dominating shapes
         for (s, c), r in zip(pairs, values):
             pairs_checked += 1
-            chg = kostka_via_charge(s, c)
+            chg = columns[c].get(s, ZERO)
             if r != chg:
                 record(s, c, r, chg, "charge")
+            if n <= TABLEAU_CHECK_MAX_N:
+                # the column programme against the textbook route, not the engine
+                words = charge_by_tableaux(s, c)
+                if chg != words:
+                    record(s, c, chg, words, "charge-tableaux")
             count = kostka_number(s, c)
             if r.evaluate(1) != count:
                 record(s, c, r.evaluate(1), count, "ssyt-count")

@@ -48,7 +48,7 @@ class CacheConflictError(RuntimeError):
 
 
 class CacheFormatError(ValueError):
-    """A persisted cache file is corrupt; the message carries line and key."""
+    """A persisted cache file is corrupt; the message names the file, the line and the key."""
 
 
 FAST_PATH_NAMES = ("one-row", "hook", "column")
@@ -120,7 +120,7 @@ class KostkaCache:
         """Read a persisted cache, validating every record.
 
         Rejects malformed lines and any nonzero entry whose shape does not
-        dominate its content, naming the line and the offending key.
+        dominate its content, naming the file, the line and the offending key.
         """
         cache = cls()
         parsed: dict[str, Partition] = {}  # the same partitions key many lines
@@ -131,40 +131,37 @@ class KostkaCache:
                 p = parsed[text] = parse_partition(text)
             return p
 
+        def error(line_no: int, problem: str) -> CacheFormatError:
+            return CacheFormatError(f"{path}: line {line_no}: {problem}")
+
         with open(path, "rb") as fh:
             for line_no, data in enumerate(fh, 1):
                 try:
                     line = data.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    raise CacheFormatError(
-                        f"{path}: line {line_no}: not UTF-8 text ({exc.reason})"
-                    ) from None
+                    raise error(line_no, f"not UTF-8 text ({exc.reason})") from None
                 line = line.removesuffix("\n").removesuffix("\r")
                 if not line:
                     continue
                 fields = line.split("\t")
                 if len(fields) != 3:
-                    raise CacheFormatError(
-                        f"line {line_no}: expected 3 tab-separated fields, got {len(fields)}"
-                    )
+                    raise error(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
                 key_text = f"{fields[0]} / {fields[1]}"
                 try:
                     shape = parse(fields[0])
                     content = parse(fields[1])
                 except PartitionParseError as exc:
-                    raise CacheFormatError(f"line {line_no}: key {key_text}: {exc}") from exc
+                    raise error(line_no, f"key {key_text}: {exc}") from exc
                 try:
                     value = TPoly.from_json_obj(json.loads(fields[2]))
                 except (ValueError, TypeError, RecursionError) as exc:  # deep nesting recurses
-                    raise CacheFormatError(f"line {line_no}: key {key_text}: {exc}") from exc
+                    raise error(line_no, f"key {key_text}: {exc}") from exc
                 if value and not dominates(shape, content):
-                    raise CacheFormatError(
-                        f"line {line_no}: key {key_text}: nonzero value for non-dominating pair"
-                    )
+                    raise error(line_no, f"key {key_text}: nonzero value for non-dominating pair")
                 try:
                     cache.put(shape, content, value)
                 except CacheConflictError as exc:
-                    raise CacheFormatError(f"line {line_no}: {exc}") from exc
+                    raise error(line_no, str(exc)) from exc
         return cache
 
 

@@ -1,24 +1,31 @@
 """Independent verification oracles.
 
 Three routes to the same numbers, none sharing logic with the polynomial
-iteration they check: explicit tableau enumeration, the charge statistic on
-reading words, and a strip-peeling count that never materializes a tableau.
+iteration they check: explicit tableau enumeration, the charge statistic,
+and a strip-peeling count that never materializes a tableau.
 
 Both the enumeration and the count peel one letter's horizontal strip at a
 time with `_strip_removals`, the enumeration keeping only the inner shapes
-that dominate the content left to place.  Both loop over explicit lists, so
-no oracle meets a recursion limit.
+that dominate the content left to place.  The charge generating functions
+run the other way: `charge_polynomials` adds one letter's strip at a time
+with `_strip_additions` and carries `charge`'s standard subwords along, so
+equal partial states merge and no tableau or reading word is built; one
+call gives the whole column of a content.  `charge_by_tableaux` keeps the
+textbook route, `charge` of each tableau's `reading_word`, to check it
+against.  Every oracle loops over explicit lists, so none meets a recursion
+limit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from math import factorial, prod
 from operator import add
 
-from .partitions import Partition, dominates, weight
-from .polynomials import TPoly
+from .partitions import Partition, conjugate, dominates, weight
+from .polynomials import ZERO, TPoly
 
 
 class ContentMismatch(ValueError):
@@ -123,13 +130,88 @@ def charge(word: tuple[int, ...], content: Partition) -> int:
     return total
 
 
-def kostka_via_charge(shape: Partition, content: Partition) -> TPoly:
-    """Charge generating function over all tableaux of the pair."""
+def charge_by_tableaux(shape: Partition, content: Partition) -> TPoly:
+    """Sum of t^charge of the reading word over `enumerate_ssyt`, tableau by tableau.
+
+    The textbook route, which `charge_polynomials` must agree with.
+    """
     coeffs: dict[int, int] = {}
     for t in enumerate_ssyt(shape, content):
         e = charge(reading_word(t), content)
         coeffs[e] = coeffs.get(e, 0) + 1
     return TPoly(coeffs)
+
+
+def kostka_via_charge(shape: Partition, content: Partition) -> TPoly:
+    """Charge generating function over all tableaux of the pair.
+
+    Read from `charge_polynomials` bounded by the shape.
+    """
+    if not dominates(shape, content):
+        return ZERO
+    return charge_polynomials(content, within=shape).get(shape, ZERO)
+
+
+def charge_polynomials(content: Partition,
+                       within: Partition | None = None) -> dict[Partition, TPoly]:
+    """Sum of t^charge over the tableaux of each shape of the content's weight.
+
+    Keyed by the shapes that have tableaux of this content (those that
+    dominate it), only those inside `within` when it is given.  No tableau is
+    built: letters are placed one horizontal strip at a time, and `charge`'s
+    standard subwords are followed through the placement.  Cell (r, c) is
+    read at key r*W - c, an increasing function of its place in the reading
+    word, so after letters 1..v a state is the shape holding them plus the
+    keys of the v-picks of subwords 1..content[v-1].  Letter v+1's subwords,
+    in order, each take the smallest free key of its strip above their
+    v-pick; one that finds none wraps to the smallest free key, and every
+    letter left in it, v+1 up to its last letter, gains one index, so the
+    index need not be kept.  Equal states merge, so the work follows the
+    number of states, not of tableaux.  Each state's counts by charge are
+    one integer, a fixed-width slot per exponent from its lowest one, so a
+    shift only moves the lowest exponent and a merge is one addition.
+    """
+    n = weight(content)
+    width = n + 1  # above every column index, so no key is -width or lower
+    # a count is at most the number of words of the content: bytes per slot
+    size = -(-(factorial(n) // prod(map(factorial, content))).bit_length() // 8)
+    slot = 8 * size
+    last = conjugate(content)  # last[j]: the last letter of subword j + 1
+    # before letter 1 every subword's pick sits left of the word, so subword j
+    # takes the j-th smallest key of the first strip without wrapping
+    states = {(): {(-width,) * (content[0] if content else 0): (0, 1)}}
+    for v, m in enumerate(content):
+        wraps = [x - v for x in last[:m]]
+        placed: dict[Partition, dict] = {}
+        for shape, subwords in states.items():
+            for outer, keys in _strip_additions(shape, m, within, width):
+                merged = placed.setdefault(outer, {})
+                for picks, (low, k) in subwords.items():
+                    free = list(keys)
+                    for j, hi in enumerate(range(m, 0, -1)):
+                        # free[:hi] are the unpicked keys, ascending; picks move to the end
+                        i = bisect_right(free, picks[j], 0, hi)
+                        if i == hi:
+                            i = 0
+                            low += wraps[j]
+                        free.append(free.pop(i))
+                    state = tuple(free)
+                    acc = merged.get(state)
+                    if acc is None:
+                        merged[state] = low, k
+                    elif acc[0] <= low:
+                        merged[state] = acc[0], acc[1] + (k << slot * (low - acc[0]))
+                    else:
+                        merged[state] = low, k + (acc[1] << slot * (acc[0] - low))
+        states = placed
+    out = {}
+    for shape, subwords in states.items():
+        low = min(e for e, _ in subwords.values())
+        total = sum(k << slot * (e - low) for e, k in subwords.values())
+        raw = total.to_bytes(-(-total.bit_length() // slot) * size, "little")
+        out[shape] = TPoly({low + i: int.from_bytes(raw[j:j + size], "little")
+                            for i, j in enumerate(range(0, len(raw), size))})
+    return out
 
 
 def kostka_number(shape: Partition, content: Partition) -> int:
@@ -184,3 +266,28 @@ def _strip_removals(shape: Partition, m: int) -> list[Partition]:
                 for y in range(x - left if x - left > below else below,
                                x - left + below + 1 if left > below else x + 1)]
     return [rows[:-1] if rows and not rows[-1] else rows for rows, left in ways if not left]
+
+
+def _strip_additions(shape: Partition, m: int, within: Partition | None,
+                     width: int) -> list[tuple[Partition, tuple[int, ...]]]:
+    # all (outer, keys) with outer/shape a horizontal m-strip inside `within`, and
+    # keys those of the added cells, ascending.  Only the first row of each run of
+    # equal parts, and the new row under the shape, can grow: row j by at most
+    # shape[j-1] - shape[j], so the loop runs over distinct parts, not rows
+    starts = [shape.index(x) for x in sorted(set(shape), reverse=True)] + [len(shape)]
+    rows = shape + (0,)
+    room = [rows[j - 1] - rows[j] if j else m for j in starts]
+    if within is not None:
+        room = [min(r, (within[j] if j < len(within) else 0) - rows[j])
+                for r, j in zip(room, starts)]
+    rest = list(accumulate(reversed(room)))[::-1] + [0]  # rest[i]: room in runs i..
+    ways = [((), m, ())]  # (rows of outer so far, boxes still to add, keys so far)
+    for i, j in enumerate(starts):
+        x = rows[j]
+        run = shape[j + 1:starts[i + 1]] if j < len(shape) else ()
+        key = j * width - x  # key of cell (j, x); the next cells of row j count down
+        ways = [(outer + ((x + a,) if x + a else ()) + run, left - a,
+                 keys + tuple(range(key - a + 1, key + 1)))
+                for outer, left, keys in ways
+                for a in range(max(0, left - rest[i + 1]), min(room[i], left) + 1)]
+    return [(outer, keys) for outer, _, keys in ways]

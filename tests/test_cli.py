@@ -236,6 +236,17 @@ def test_cache_file_that_is_not_utf8_names_the_file_and_line(capsys, tmp_path):
     assert f"{path}: line {bad_line}: not UTF-8" in err
 
 
+def test_cache_format_error_names_the_file_that_was_read(capsys, tmp_path, monkeypatch):
+    flag_path, env_path = tmp_path / "flag.tsv", tmp_path / "env.tsv"
+    flag_path.write_text("")
+    env_path.write_text('2,2,1,1\t3,2,1\t[[1,"1"]]\n')
+    monkeypatch.setenv("KOSTKA_CACHE", str(env_path))
+    code, out, err = run(capsys, "compute", "--shape", "1", "--content", "1",
+                         "--cache", str(flag_path))
+    assert code == 2 and out == ""
+    assert f"{env_path}: line 1: key 2,2,1,1 / 3,2,1: nonzero value" in err
+    assert str(flag_path) not in err and "Traceback" not in err
+
 def test_deeply_nested_cache_value_is_a_format_error(capsys, tmp_path):
     path = tmp_path / "memo.tsv"
     path.write_text("2,1\t1,1,1\t" + "[" * 100_000 + "\n")
@@ -458,6 +469,18 @@ def test_verify_column_check_does_not_share_the_engine_closed_form(capsys, monke
     assert ("mismatch: shape=2,1,1 content=1,1,1,1 got=t^2 + t^3 + t^4 "
             "expected=t + t^2 + t^3 oracle=column") in out.splitlines()
 
+
+def test_verify_checks_the_charge_columns_against_each_tableau(capsys, monkeypatch):
+    real = kostka.cli.charge_polynomials
+    monkeypatch.setattr(kostka.cli, "charge_polynomials",
+                        lambda content: {s: v.shift(1) for s, v in real(content).items()})
+    code, out, _ = run(capsys, "verify", "--max-n", "3")
+    assert code == 2
+    lines = out.splitlines()
+    assert ("mismatch: shape=2,1 content=1,1,1 got=t^2 + t^3 "
+            "expected=t + t^2 oracle=charge-tableaux") in lines
+    assert ("mismatch: shape=2,1 content=1,1,1 got=t + t^2 "
+            "expected=t^2 + t^3 oracle=charge") in lines
 
 # --- bench ---
 

@@ -11,6 +11,7 @@ import re
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import factorial
 from unittest import mock
 
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
@@ -84,6 +85,27 @@ def test_oracle_commands_on_small_pairs(pair, fast_paths):
 @example(((1,) * 2000, (1,) * 2000))
 def test_oracle_commands_on_rows_and_columns(pair):
     check_oracle_commands(*pair, "none")
+
+
+@st.composite
+def dominating_pairs(draw):
+    """A pair with 13 <= n <= 24 whose shape dominates its content."""
+    n = draw(st.integers(13, 24))
+    a, b = draw(partitions(n)), draw(partitions(n))
+    # dominance implies the lexicographic order, so the larger is the only candidate shape
+    shape, content = max(a, b), min(a, b)
+    assume(dominates(shape, content))
+    return shape, content
+
+
+@settings(FUZZ, max_examples=30)
+@given(dominating_pairs())
+def test_bench_runs_the_charge_oracle_up_to_n_24(pair):
+    s, c = map(format_partition, pair)
+    # the words of a content of weight 24, 24! of them at most, bound its tableaux
+    argv = ["bench", "--shape", s, "--content", c, "--oracle-ceiling", str(factorial(24))]
+    code, out, _ = call(argv)
+    assert code == 0 and "charge oracle: " in out and "mismatch" not in out, (s, c, out)
 
 
 good_tokens = st.builds(lambda v, e: str(v) if e is None else f"{v}^{e}",

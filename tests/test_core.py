@@ -468,8 +468,16 @@ def test_cache_load_rejects_corrupt_lines(tmp_path, line, fragment):
     path.write_text(line + "\n")
     with pytest.raises(CacheFormatError, match="line 1") as err:
         KostkaCache.load(str(path))
+    assert str(err.value).startswith(f"{path}: line 1: ")
     assert fragment in str(err.value)
 
+
+def test_cache_load_names_the_file_and_line_of_a_conflicting_record(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text('2,1\t1,1,1\t[[1,"1"],[2,"1"]]\n2,1\t1,1,1\t[[1,"1"]]\n')
+    with pytest.raises(CacheFormatError) as err:
+        KostkaCache.load(str(path))
+    assert str(err.value).startswith(f"{path}: line 2: conflicting values for key 2,1 / 1,1,1")
 
 def test_cache_load_accepts_zero_for_non_dominating_pair(tmp_path):
     path = tmp_path / "ok.tsv"

@@ -10,6 +10,8 @@ from kostka.core import kostka as engine
 from kostka.oracles import (
     ContentMismatch,
     charge,
+    charge_by_tableaux,
+    charge_polynomials,
     enumerate_ssyt,
     is_semistandard,
     kostka_number,
@@ -17,7 +19,7 @@ from kostka.oracles import (
     reading_word,
 )
 from kostka.partitions import dominates, partitions_of, weight
-from kostka.polynomials import ONE, TPoly
+from kostka.polynomials import ONE, ZERO, TPoly
 
 
 # --- references: the cell-by-cell enumeration and dict-based charge they replaced ---
@@ -112,6 +114,7 @@ def test_enumeration_and_charge_match_the_references():
         for t in found:
             e = reference_charge(reading_word(t), content)
             coeffs[e] = coeffs.get(e, 0) + 1
+        assert charge_by_tableaux(shape, content) == TPoly(coeffs), (shape, content)
         assert kostka_via_charge(shape, content) == TPoly(coeffs), (shape, content)
 
 
@@ -285,6 +288,37 @@ def test_kostka_via_charge_fixtures():
     for n in range(1, 7):
         assert kostka_via_charge((n,), (1,) * n) == TPoly({n * (n - 1) // 2: 1})
     assert kostka_via_charge((), ()) == ONE
+
+
+def test_charge_polynomials_give_the_column_of_each_content():
+    for n in range(11):
+        ps = list(partitions_of(n))
+        for content in ps:
+            column = charge_polynomials(content)
+            assert set(column) == {s for s in ps if dominates(s, content)}, content
+            for shape, value in column.items():
+                assert value.evaluate(1) == kostka_number(shape, content), (shape, content)
+                if n <= 8:
+                    assert value == charge_by_tableaux(shape, content), (shape, content)
+
+
+def test_charge_polynomials_within_a_shape():
+    content = (2, 2, 1, 1)
+    column = charge_polynomials(content)
+    for shape in partitions_of(6):
+        bounded = charge_polynomials(content, within=shape)
+        assert bounded == ({shape: column[shape]} if shape in column else {}), shape
+    # a larger bound keeps the shapes of the content's weight inside it
+    assert charge_polynomials(content, within=(4, 3)) == {s: column[s] for s in [(4, 2), (3, 3)]}
+    assert charge_polynomials((), within=(2, 1)) == charge_polynomials(()) == {(): ONE}
+    assert kostka_via_charge((2, 1), (2, 2)) == kostka_via_charge((2, 2), (3, 1)) == ZERO
+
+
+def test_charge_oracle_agrees_with_the_engine_on_68_million_tableaux():
+    shape, content = (6, 5, 4, 3, 2, 1), (2,) * 4 + (1,) * 13
+    value = kostka_via_charge(shape, content)
+    assert value.evaluate(1) == kostka_number(shape, content) == 68_796_416
+    assert value == engine(shape, content)
 
 
 # --- peel count ---
