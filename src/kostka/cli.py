@@ -311,9 +311,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if charge_value != value:
             print("mismatch: charge oracle disagrees with recursion")
             status = 2
-        else:
+        elif charge_s >= recursion_s:
             ratio = charge_s / max(recursion_s, 1e-9)
             print(f"speedup: recursion {ratio:.1f}x faster than charge oracle")
+        else:
+            ratio = recursion_s / max(charge_s, 1e-9)
+            print(f"speedup: charge oracle {ratio:.1f}x faster than recursion")
 
     _save_cache(cache, args.cache, loaded)
     return status

@@ -58,22 +58,26 @@ KostkaKey = tuple[Partition, Partition]
 
 
 class KostkaCache:
-    """Memo table keyed by prefix-reduced (shape, content) pairs.
+    """Memo table of prefix-reduced pairs, one column per content.
 
-    Entries are write-once: a second put with a different value is an
-    invariant violation.  Correctness never depends on a hit.
+    `_columns` maps each content to a column {shape: value}, so a content
+    is held once however many entries share it, and a lookup inside a column
+    hashes the shape alone.  Entries are write-once: a second put with a
+    different value is an invariant violation.  Correctness never depends on
+    a hit.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[KostkaKey, TPoly] = {}
+        self._columns: dict[Partition, dict[Partition, TPoly]] = {}
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._columns.values()))
 
     def get(self, shape: Partition, content: Partition) -> TPoly | None:
-        value = self._entries.get((shape, content))
+        column = self._columns.get(content)
+        value = None if column is None else column.get(shape)
         if value is None:
             self.misses += 1
         else:
@@ -81,16 +85,23 @@ class KostkaCache:
         return value
 
     def put(self, shape: Partition, content: Partition, value: TPoly) -> None:
-        key = (shape, content)
-        old = self._entries.get(key)
+        column = self._columns.get(content)
+        if column is None:
+            column = self._columns[content] = {}
+        old = column.get(shape)
         if old is not None and old != value:
             raise CacheConflictError(
                 f"conflicting values for key {format_partition(shape)} / {format_partition(content)}"
             )
-        self._entries[key] = value
+        column[shape] = value
 
     def items(self) -> list[tuple[KostkaKey, TPoly]]:
-        return sorted(self._entries.items())
+        """Every entry, sorted by (shape, content)."""
+        return sorted(
+            ((shape, content), value)
+            for content, column in self._columns.items()
+            for shape, value in column.items()
+        )
 
     def save(self, path: str) -> None:
         """One record per line: shape TAB content TAB polynomial JSON.
@@ -119,16 +130,23 @@ class KostkaCache:
     def load(cls, path: str) -> "KostkaCache":
         """Read a persisted cache, validating every record.
 
-        Rejects malformed lines and any nonzero entry whose shape does not
-        dominate its content, naming the file, the line and the offending key.
+        Rejects malformed lines, any nonzero entry whose shape does not
+        dominate its content, and any value whose exponents span more than
+        n(content) - n(shape), naming the file, the line and the offending
+        key.  Both refusals come before the value is expanded, so a short
+        line cannot make the load allocate far more than a correct value
+        needs.
         """
         cache = cls()
-        parsed: dict[str, Partition] = {}  # the same partitions key many lines
+        # the same partitions key many lines: each text is parsed once, and
+        # its partition and weighted size are shared by every line naming it
+        parsed: dict[str, tuple[Partition, int]] = {}
 
-        def parse(text: str) -> Partition:
+        def parse(text: str) -> tuple[Partition, int]:
             p = parsed.get(text)
             if p is None:
-                p = parsed[text] = parse_partition(text)
+                part = parse_partition(text)
+                p = parsed[text] = (part, weighted_size(part))
             return p
 
         def error(line_no: int, problem: str) -> CacheFormatError:
@@ -148,16 +166,28 @@ class KostkaCache:
                     raise error(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
                 key_text = f"{fields[0]} / {fields[1]}"
                 try:
-                    shape = parse(fields[0])
-                    content = parse(fields[1])
+                    shape, n_shape = parse(fields[0])
+                    content, n_content = parse(fields[1])
                 except PartitionParseError as exc:
                     raise error(line_no, f"key {key_text}: {exc}") from exc
                 try:
-                    value = TPoly.from_json_obj(json.loads(fields[2]))
-                except (ValueError, TypeError, RecursionError) as exc:  # deep nesting recurses
+                    obj = json.loads(fields[2])
+                except (ValueError, RecursionError) as exc:  # deep nesting recurses
                     raise error(line_no, f"key {key_text}: {exc}") from exc
-                if value and not dominates(shape, content):
-                    raise error(line_no, f"key {key_text}: nonzero value for non-dominating pair")
+                if isinstance(obj, list) and obj:
+                    if not dominates(shape, content):
+                        raise error(line_no, f"key {key_text}: nonzero value for non-dominating pair")
+                    try:
+                        span = obj[-1][0] - obj[0][0]
+                    except (TypeError, LookupError):
+                        span = 0  # malformed entries: from_json_obj names the fault
+                    if span > n_content - n_shape:
+                        raise error(line_no, f"key {key_text}: exponents span {span}, "
+                                             f"more than n(content) - n(shape) = {n_content - n_shape}")
+                try:
+                    value = TPoly.from_json_obj(obj)
+                except (ValueError, TypeError) as exc:
+                    raise error(line_no, f"key {key_text}: {exc}") from exc
                 try:
                     cache.put(shape, content, value)
                 except CacheConflictError as exc:
@@ -233,23 +263,26 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
     once, never pushed.  The root is always iterated.  A vanishing child costs
     a dominance test each time it is met and is never memoized.  Every child
     lookup is counted in the cache's hits or misses; a leaf is one miss.
-    Every content met is a suffix of the root's, and the memo keys of one
-    walk share one tuple per distinct content instead of each holding the
-    slice its lookup made.
+    An expansion fetches the column of the content's tail once, creating it
+    if missing, so a leaf memoized there is seen by every later sibling; a
+    child is looked up in it by its shape alone, unless prefix reduction
+    changes its content.
     """
-    memo = cache._entries
-    contents: dict[Partition, Partition] = {}
+    columns = cache._columns
     hits = misses = 0
     stack: list[list] = [[root, None]]
     while stack:
         frame = stack[-1]
         key, branches = frame
         if branches is None:
-            if key in memo:  # pushed twice, and computed since
+            shape, content = key
+            if shape in columns.get(content, ()):  # pushed twice, and computed since
                 stack.pop()
                 continue
-            shape, content = key
             rest = content[1:]
+            column = columns.get(rest)
+            if column is None:
+                column = columns[rest] = {}
             branches = frame[1] = []
             for i, size, taus in recursion_children(shape, content[0]):
                 children: list = []
@@ -260,26 +293,28 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
                     # prefix_reduce inline: tau and rest have equal weights and
                     # differ, so they differ at an index inside both
                     if tau[0] != rest[0]:
-                        child = (tau, rest)
+                        child_shape, child_content, child_column = tau, rest, column
                     else:
                         r = 1
                         while tau[r] == rest[r]:
                             r += 1
-                        child = (tau[r:], rest[r:])
-                    value = memo.get(child)
+                        child_shape, child_content = tau[r:], rest[r:]
+                        child_column = columns.get(child_content)
+                    value = None if child_column is None else child_column.get(child_shape)
                     if value is not None:
                         hits += 1
                         children.append(value)
                         continue
                     misses += 1
-                    if child[1][0] == 1:
+                    if child_content[0] == 1:
                         # a content starting with 1 is all ones: a column leaf
-                        value = kostka_column(child[0])
-                        cache.put(child[0], contents.setdefault(child[1], child[1]), value)
+                        value = kostka_column(child_shape)
+                        cache.put(child_shape, child_content, value)
                         children.append(value)
                         continue
-                    if not dominates(child[0], child[1]):
+                    if not dominates(child_shape, child_content):
                         continue
+                    child = (child_shape, child_content)
                     children.append(child)
                     stack.append([child, None])
                 branches.append((i, size, children))
@@ -288,14 +323,14 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
         for i, size, children in branches:
             branch = ZERO
             for child in children:
-                branch = branch + (memo[child] if type(child) is tuple else child)
+                branch = branch + (columns[child[1]][child[0]] if type(child) is tuple else child)
             branch = branch.shift(size)
             total = total + branch if i % 2 else total - branch
         stack.pop()
-        cache.put(key[0], contents.setdefault(key[1], key[1]), total)
+        cache.put(key[0], key[1], total)
     cache.hits += hits
     cache.misses += misses
-    return memo[root]
+    return columns[root[1]][root[0]]
 
 
 def kostka_one_row(content: Partition) -> TPoly:

@@ -242,7 +242,8 @@ class TPoly:
         """Strictly validated inverse of to_json_obj."""
         if not isinstance(obj, list):
             raise ValueError("TPoly JSON must be a list of [exponent, coefficient] pairs")
-        coeffs: list[int] = []  # dense from the first exponent to `last`
+        coeffs: list[int] = []
+        gaps: list[tuple[int, int]] = []  # (index into coeffs, zeros missing before it)
         last = -1
         for entry in obj:
             if not isinstance(entry, list) or len(entry) != 2:
@@ -261,9 +262,13 @@ class TPoly:
             if not ci:
                 raise ValueError(f"zero coefficient stored at exponent {e}")
             if coeffs and e > last + 1:
-                coeffs.extend([0] * (e - last - 1))
+                gaps.append((len(coeffs), e - last - 1))
             last = e
             coeffs.append(ci)
+        # every entry is valid before a gap is filled, so a malformed list
+        # allocates no more than its own length
+        for i, zeros in reversed(gaps):
+            coeffs[i:i] = [0] * zeros
         return _from_dense(coeffs, last + 1 - len(coeffs))
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -246,6 +247,30 @@ def test_cache_format_error_names_the_file_that_was_read(capsys, tmp_path, monke
     assert code == 2 and out == ""
     assert f"{env_path}: line 1: key 2,2,1,1 / 3,2,1: nonzero value" in err
     assert str(flag_path) not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line, problem", [
+    # 26 bytes asking for two million coefficients
+    ('1\t1\t[[0,"1"],[2000000,"1"]]', "exponents span 2000000"),
+    ('2,2,1,1\t3,2,1\t[[0,"1"],[2000000,"1"]]', "nonzero value for non-dominating pair"),
+    # the ends span 1, but the middle entry is out of order
+    ('2,1\t1,1,1\t[[0,"1"],[2000000,"1"],[1,"1"]]', "not strictly ascending"),
+])
+def test_cache_value_is_refused_before_it_is_expanded(capsys, tmp_path, line, problem):
+    path = tmp_path / "memo.tsv"
+    path.write_text(line + "\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "compute", "--shape", "1", "--content", "1",
+                             "--cache", str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    key = " / ".join(line.split("\t")[:2])
+    assert f"{path}: line 1: key {key}: " in err and problem in err
+    assert peak < 2**20
+
 
 def test_deeply_nested_cache_value_is_a_format_error(capsys, tmp_path):
     path = tmp_path / "memo.tsv"
@@ -490,6 +515,29 @@ def test_bench_tiny_input(capsys):
     assert "recursion:" in out
     assert "charge oracle:" in out
     assert "speedup:" in out
+
+
+@pytest.mark.parametrize("recursion_s, charge_s, line", [
+    (1.0, 4.0, "speedup: recursion 4.0x faster than charge oracle"),
+    (4.0, 1.0, "speedup: charge oracle 4.0x faster than recursion"),
+])
+def test_bench_speedup_names_the_faster_side(capsys, monkeypatch, recursion_s, charge_s, line):
+    # a clock that moves only while the two timed evaluations run
+    now = [0.0]
+
+    def taking(seconds, fn):
+        def timed(*args):
+            now[0] += seconds
+            return fn(*args)
+        return timed
+
+    monkeypatch.setattr(kostka.cli.time, "perf_counter", lambda: now[0])
+    monkeypatch.setattr(kostka.cli, "kostka", taking(recursion_s, kostka.cli.kostka))
+    monkeypatch.setattr(kostka.cli, "kostka_via_charge",
+                        taking(charge_s, kostka.cli.kostka_via_charge))
+    code, out, _ = run(capsys, "bench", "--shape", "3,2,1", "--content", "2,2,1,1")
+    assert code == 0
+    assert line + "\n" in out
 
 
 def test_bench_reports_dispatch_path(capsys):

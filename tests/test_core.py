@@ -5,6 +5,7 @@ import tracemalloc
 from math import factorial, prod
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import kostka.core as engine
 from kostka.cli import FAST_PATHS
@@ -113,6 +114,33 @@ def test_memo_keys_of_one_walk_share_each_content():
     kostka((6, 4, 3, 2), (3, 3, 2, 2, 2, 1, 1, 1), cache)
     contents = [c for (_, c), _ in cache.items()]
     assert len({id(c) for c in contents}) == len(set(contents)) < len(contents)
+    # across walks too: one cache shared by every dominating pair with n <= 10
+    # holds one tuple object per distinct content
+    for n in range(1, 11):
+        ps = list(partitions_of(n))
+        for s in ps:
+            for c in ps:
+                if dominates(s, c):
+                    kostka(s, c, cache)
+    contents = [c for (_, c), _ in cache.items()]
+    assert len({id(c) for c in contents}) == len(set(contents)) < len(contents)
+
+
+def test_headline_pair_memoizes_each_column_leaf_once(monkeypatch):
+    # a leaf memoized while its parent's children are being looked up must be
+    # a hit for every later sibling that meets it
+    calls = []
+    real = engine.kostka_column
+
+    def counted(shape):
+        calls.append(shape)
+        return real(shape)
+
+    monkeypatch.setattr(engine, "kostka_column", counted)
+    cache = KostkaCache()
+    kostka((6, 4, 3, 2), (3,) + (1,) * 12, cache)
+    assert (len(cache), cache.hits, cache.misses) == (12, 1, 12)
+    assert len(calls) == len(set(calls)) == 11
 
 
 def test_content_longer_than_the_recursion_limit_computes():
@@ -389,6 +417,49 @@ def test_table_identities_at_n_14():
         assert words == factorial(n) // prod(map(factorial, c)), c
 
 
+# --- random pairs beyond the oracle sweep, through one shared memo ---
+
+PARTITIONS = {n: list(partitions_of(n)) for n in range(13, 25)}
+
+
+@st.composite
+def dominating_pairs(draw):
+    """A pair with 13 <= n <= 24 whose shape dominates its content, behind
+    a common prefix of parts at least as long as the shape's first row.
+    One draw in five makes a hook shape, and one in five a column content."""
+    n = draw(st.integers(13, 24))
+    a, b = draw(st.sampled_from(PARTITIONS[n])), draw(st.sampled_from(PARTITIONS[n]))
+    if draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, n - 1))
+        a = (n - k,) + (1,) * k
+    if draw(st.integers(0, 4)) == 0:
+        b = (1,) * n
+    # dominance implies the lexicographic order, so the larger is the only candidate shape
+    shape, content = max(a, b), min(a, b)
+    assume(dominates(shape, content))
+    prefix = sorted(draw(st.lists(st.integers(shape[0], shape[0] + 2), max_size=2)), reverse=True)
+    return tuple(prefix) + shape, tuple(prefix) + content
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(dominating_pairs(), min_size=1, max_size=4))
+def test_random_pairs_through_one_shared_cache(pairs):
+    shared = KostkaCache()
+    for shape, content in pairs:
+        value = kostka(shape, content, shared)
+        s, c = prefix_reduce(shape, content)
+        assert value == kostka(s, c, KostkaCache()), (shape, content)
+        if not s:
+            assert value == ONE
+            continue
+        if len(s) == 1:
+            assert value == kostka_one_row(c), (shape, content)
+        elif s[1] == 1:
+            assert value == kostka_hook(weight(s), len(s) - 1, c), (shape, content)
+        if c[0] == 1:
+            assert value == kostka_column(s), (shape, content)
+
+
 # --- cache behavior ---
 
 def test_cache_statistics_and_write_once():
@@ -399,6 +470,7 @@ def test_cache_statistics_and_write_once():
     assert cache.get((2, 1), (1, 1, 1)) == TPoly({1: 1, 2: 1})
     assert cache.hits == 1
     cache.put((2, 1), (1, 1, 1), TPoly({1: 1, 2: 1}))  # same value is fine
+    assert len(cache) == 1  # so `_save_cache` can tell an unchanged memo by its size
     with pytest.raises(CacheConflictError):
         cache.put((2, 1), (1, 1, 1), TPoly({5: 1}))
 
@@ -410,6 +482,7 @@ def test_cache_save_load_round_trip(tmp_path):
     cache.save(str(path))
     loaded = KostkaCache.load(str(path))
     assert loaded.items() == cache.items()
+    assert len(loaded) == len(cache) == len(path.read_text().splitlines())
     # file layout: shape TAB content TAB polynomial JSON
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 3
