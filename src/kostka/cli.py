@@ -337,17 +337,20 @@ def main(argv: list[str] | None = None) -> int:
     if problem:
         print(f"kostka: error: {source} {args.cache!r}: {problem}", file=sys.stderr)
         return 1
+    command = {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify,
+               "bench": cmd_bench}[args.command]
     try:
-        if args.command == "compute":
-            return cmd_compute(args)
-        if args.command == "table":
-            return cmd_table(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_bench(args)
+        status = command(args)
+        # flushed here, so a reader that closes stdout early is met in this try
+        sys.stdout.flush()
+        return status
     except CacheFormatError as exc:
         print(f"kostka: cache error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at shutdown stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

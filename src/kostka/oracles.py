@@ -9,11 +9,11 @@ time with `_strip_removals`, the enumeration keeping only the inner shapes
 that dominate the content left to place.  The charge generating functions
 run the other way: `charge_polynomials` adds one letter's strip at a time
 with `_strip_additions` and carries `charge`'s standard subwords along, so
-equal partial states merge and no tableau or reading word is built; one
-call gives the whole column of a content.  `charge_by_tableaux` keeps the
-textbook route, `charge` of each tableau's `reading_word`, to check it
-against.  Every oracle loops over explicit lists, so none meets a recursion
-limit.
+equal partial states merge, each holding its counts by charge as a `TPoly`,
+and no tableau or reading word is built; one call gives the whole column of
+a content.  `charge_by_tableaux` keeps the textbook route, `charge` of each
+tableau's `reading_word`, to check it against.  Every oracle loops over
+explicit lists, so none meets a recursion limit.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, zip_longest
-from math import factorial, prod
 from operator import add
 
 from .partitions import Partition, conjugate, dominates, weight
-from .polynomials import ZERO, TPoly
+from .polynomials import ONE, ZERO, TPoly
 
 
 class ContentMismatch(ValueError):
@@ -167,51 +166,37 @@ def charge_polynomials(content: Partition,
     v-pick; one that finds none wraps to the smallest free key, and every
     letter left in it, v+1 up to its last letter, gains one index, so the
     index need not be kept.  Equal states merge, so the work follows the
-    number of states, not of tableaux.  Each state's counts by charge are
-    one integer, a fixed-width slot per exponent from its lowest one, so a
-    shift only moves the lowest exponent and a merge is one addition.
+    number of states, not of tableaux.  Each state's counts by charge are a
+    `TPoly`: the index gains of its picks' wraps shift it once, equal states
+    add, and each shape's value is the sum over its states.
     """
-    n = weight(content)
-    width = n + 1  # above every column index, so no key is -width or lower
-    # a count is at most the number of words of the content: bytes per slot
-    size = -(-(factorial(n) // prod(map(factorial, content))).bit_length() // 8)
-    slot = 8 * size
+    width = weight(content) + 1  # above every column index, so no key is -width or lower
     last = conjugate(content)  # last[j]: the last letter of subword j + 1
     # before letter 1 every subword's pick sits left of the word, so subword j
     # takes the j-th smallest key of the first strip without wrapping
-    states = {(): {(-width,) * (content[0] if content else 0): (0, 1)}}
+    states = {(): {(-width,) * (content[0] if content else 0): ONE}}
     for v, m in enumerate(content):
         wraps = [x - v for x in last[:m]]
         placed: dict[Partition, dict] = {}
         for shape, subwords in states.items():
             for outer, keys in _strip_additions(shape, m, within, width):
                 merged = placed.setdefault(outer, {})
-                for picks, (low, k) in subwords.items():
+                for picks, counts in subwords.items():
                     free = list(keys)
+                    gain = 0
                     for j, hi in enumerate(range(m, 0, -1)):
                         # free[:hi] are the unpicked keys, ascending; picks move to the end
                         i = bisect_right(free, picks[j], 0, hi)
                         if i == hi:
                             i = 0
-                            low += wraps[j]
+                            gain += wraps[j]
                         free.append(free.pop(i))
                     state = tuple(free)
+                    counts = counts.shift(gain)
                     acc = merged.get(state)
-                    if acc is None:
-                        merged[state] = low, k
-                    elif acc[0] <= low:
-                        merged[state] = acc[0], acc[1] + (k << slot * (low - acc[0]))
-                    else:
-                        merged[state] = low, k + (acc[1] << slot * (acc[0] - low))
+                    merged[state] = counts if acc is None else acc + counts
         states = placed
-    out = {}
-    for shape, subwords in states.items():
-        low = min(e for e, _ in subwords.values())
-        total = sum(k << slot * (e - low) for e, k in subwords.values())
-        raw = total.to_bytes(-(-total.bit_length() // slot) * size, "little")
-        out[shape] = TPoly({low + i: int.from_bytes(raw[j:j + size], "little")
-                            for i, j in enumerate(range(0, len(raw), size))})
-    return out
+    return {shape: sum(subwords.values(), ZERO) for shape, subwords in states.items()}
 
 
 def kostka_number(shape: Partition, content: Partition) -> int:

@@ -146,19 +146,14 @@ def horizontal_strip_additions(p: Partition, m: int) -> list[Partition]:
     return [head + (left,) if left else head for head, left in rows]
 
 
-def partitions_of(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int) -> Iterator[Partition]:
     """All partitions of n, each once, in decreasing lexicographic order."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
     if n == 0:
         yield ()
         return
-    if max_part is None or max_part > n:
-        max_part = n
-    if max_part < 1:
-        return
-    q, r = divmod(n, max_part)
-    parts = [max_part] * q + ([r] if r else [])
+    parts = [n]
     while True:
         yield tuple(parts)
         # the successor lowers the last part above 1 by one and refills the

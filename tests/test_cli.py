@@ -420,6 +420,19 @@ def test_import_leaves_out_the_pool_and_dataclasses():
     assert result.stdout == "[]\n"
 
 
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # 950,654 bytes of CSV, far past a pipe buffer, so writes fail once the reader is gone
+    src = os.path.dirname(os.path.dirname(kostka.cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "KOSTKA_CACHE"}
+    proc = subprocess.Popen([sys.executable, "-m", "kostka.cli", "table", "--n", "14"],
+                            cwd=src, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"shape,content,polynomial\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""
+
+
 def test_table_json_rows_round_trip(capsys):
     code, out, _ = run(capsys, "table", "--n", "3", "--format", "json")
     assert code == 0

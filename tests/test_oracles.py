@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import kostka.oracles
-from kostka.core import kostka as engine
+import kostka.partitions
+from kostka.core import kostka as engine, kostka_column
 from kostka.oracles import (
     ContentMismatch,
     charge,
@@ -149,12 +150,14 @@ def test_charge_matches_the_reference(case):
 
 
 def test_oracles_define_no_recursive_function():
-    tree = ast.parse(inspect.getsource(kostka.oracles))
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            called = {n.func.id for n in ast.walk(node)
-                      if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-            assert node.name not in called, node.name
+    # the partitions the oracles are checked over are generated without recursion too
+    for module in (kostka.oracles, kostka.partitions):
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = {n.func.id for n in ast.walk(node)
+                          if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                assert node.name not in called, (module.__name__, node.name)
 
 
 def test_oracles_stay_independent_of_the_iteration():
@@ -319,6 +322,18 @@ def test_charge_oracle_agrees_with_the_engine_on_68_million_tableaux():
     value = kostka_via_charge(shape, content)
     assert value.evaluate(1) == kostka_number(shape, content) == 68_796_416
     assert value == engine(shape, content)
+
+
+def test_charge_oracle_agrees_with_the_engine_past_64_bit_counts():
+    # 10,9,8,7,6 / 1^40: a 66-bit count with 59-bit coefficients, so merged
+    # states re-pack inside the oracle; 9,8,7,6,5,4,2 / 1^41: 69-bit coefficients,
+    # which need 128-bit slots
+    for shape, bits, top in [((10, 9, 8, 7, 6), 66, 59), ((9, 8, 7, 6, 5, 4, 2), 75, 69)]:
+        content = (1,) * weight(shape)
+        value = kostka_via_charge(shape, content)
+        assert value.evaluate(1).bit_length() == bits, shape
+        assert max(c for _, c in value.items()).bit_length() == top, shape
+        assert value == engine(shape, content) == kostka_column(shape), shape
 
 
 # --- peel count ---

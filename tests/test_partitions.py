@@ -257,9 +257,3 @@ def test_partitions_of_order_and_validity():
         for p in ps:
             assert p == partition(p)
             assert weight(p) == n
-
-
-def test_partitions_of_is_not_recursive():
-    assert list(partitions_of(1200, 1)) == [(1,) * 1200]
-    assert list(partitions_of(7, 3)) == [p for p in partitions_of(7) if p[0] <= 3]
-    assert list(partitions_of(3, 0)) == []

@@ -1,9 +1,12 @@
+import ast
 import sys
 from math import comb, factorial
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import kostka
 from kostka.polynomials import (
     ONE,
     NotDivisible,
@@ -324,3 +327,13 @@ def test_json_round_trip_random(p):
 def test_from_json_obj_rejects_bad_input(obj):
     with pytest.raises(ValueError):
         TPoly.from_json_obj(obj)
+
+
+def test_only_the_polynomial_layer_packs_integers():
+    # one module owns the layout of coefficients in the slots of an integer
+    for path in sorted(Path(kostka.__file__).parent.glob("*.py")):
+        if path.name != "polynomials.py":
+            tree = ast.parse(path.read_text())
+            used = {n.func.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+            assert not used & {"to_bytes", "from_bytes"}, path.name
