@@ -1,7 +1,8 @@
 """Command-line front end: compute, table, verify, bench.
 
-Exit codes: 0 success, 1 usage or parse error, 2 verification mismatch
-(including a corrupt cache file).
+Exit codes: 0 success, 1 usage or parse error or a memo file that cannot be
+read or written, 2 verification mismatch (including a corrupt cache file and
+a served value that no Kostka-Foulkes polynomial has).
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ THREADS_HELP = "accepted for compatibility; evaluation is always serial"
 
 class UsageError(Exception):
     pass
+
+
+class CachePathError(Exception):
+    """The memo file cannot be read or written at its path; the message says why."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,26 +128,28 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cache_path_problem(path: str | None) -> str | None:
-    """Why `path` cannot hold a memo file, or None when it can (or is unset).
+def _check_cache_path(path: str | None) -> None:
+    """Refuse a `path` that cannot hold a memo file; an unset one passes.
 
-    Checked before any computation, so a bad path costs no work and no
-    value is printed before the save fails.
+    Checked before any computation, so a path that is plainly wrong costs no
+    work.  Faults only the file system reports reach the load or the save.
     """
     if not path:
-        return None
+        return
     if os.path.isdir(path):
-        return "is a directory"
+        raise CachePathError("is a directory")
     parent = os.path.dirname(path)
     if parent and not os.path.isdir(parent):
-        return f"directory {parent!r} does not exist"
-    return None
+        raise CachePathError(f"directory {parent!r} does not exist")
 
 
 def _load_cache(path: str | None) -> tuple[KostkaCache, int | None]:
     """The memo persisted at `path`, and its size when the file existed."""
     if path and os.path.exists(path):
-        cache = KostkaCache.load(path)
+        try:
+            cache = KostkaCache.load(path)
+        except OSError as exc:
+            raise CachePathError(exc.strerror or exc) from exc
         return cache, len(cache)
     return KostkaCache(), None
 
@@ -154,7 +161,10 @@ def _save_cache(cache: KostkaCache, path: str | None, loaded: int | None) -> Non
     unchanged entries, and rewriting the file would reproduce its bytes.
     """
     if path and len(cache) != loaded:
-        cache.save(path)
+        try:
+            cache.save(path)
+        except OSError as exc:
+            raise CachePathError(exc.strerror or exc) from exc
 
 
 def _compute_pairs(
@@ -164,6 +174,33 @@ def _compute_pairs(
 ) -> list[TPoly]:
     """Evaluate all pairs in order, sharing one memo."""
     return [kostka_auto(s, c, cache, fast_paths) for s, c in pairs]
+
+
+def _check_served(pairs: list[tuple[Partition, Partition]], values: list[TPoly]) -> None:
+    """Refuse a value that no Kostka-Foulkes polynomial has, before it is saved or printed.
+
+    A dominating pair's value is monic of degree n(content) - n(shape).  The
+    load bounds only the span of a memo value's exponents, because `verify`
+    must still meet a wrong value and report it, so a wrong memo line can
+    reach here.
+    """
+    sizes = {p: weighted_size(p) for p in set(chain.from_iterable(pairs))}
+    for (s, c), v in zip(pairs, values):
+        if v:
+            degree, top = v.leading_term()
+            expected = sizes[c] - sizes[s]
+            if degree != expected:
+                problem = f"has degree {degree}, not n(content) - n(shape) = {expected}"
+            elif top != 1:
+                problem = f"has top coefficient {top}, not 1"
+            else:
+                continue
+        elif dominates(s, c):
+            problem = "is zero for a dominating pair"
+        else:
+            continue
+        raise CacheFormatError(
+            f"key {format_partition(s)} / {format_partition(c)}: served value {problem}")
 
 
 def _render_poly(value: TPoly, fmt: str) -> str:
@@ -198,6 +235,8 @@ def _print_rows(pairs: list[tuple[Partition, Partition]], values: list[TPoly], f
 def cmd_compute(args: argparse.Namespace) -> int:
     cache, loaded = _load_cache(args.cache)
     value = kostka_auto(args.shape, args.content, cache, FAST_PATHS[args.fast_paths])
+    _check_served([(args.shape, args.content)], [value])
+    _save_cache(cache, args.cache, loaded)
     if args.format == "csv":
         _print_rows([(args.shape, args.content)], [value], "csv")
     else:
@@ -206,7 +245,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
         for rows in enumerate_ssyt(args.shape, args.content):
             obj = {"shape": [len(r) for r in rows], "rows": [list(r) for r in rows]}
             print(json.dumps(obj))
-    _save_cache(cache, args.cache, loaded)
     return 0
 
 
@@ -216,8 +254,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     pairs = [(s, c) for i, s in enumerate(shapes) for c in shapes[i:] if dominates(s, c)]
     cache, loaded = _load_cache(args.cache)
     values = _compute_pairs(pairs, cache, FAST_PATHS[args.fast_paths])
-    _print_rows(pairs, values, args.format)
+    _check_served(pairs, values)
     _save_cache(cache, args.cache, loaded)
+    _print_rows(pairs, values, args.format)
     return 0
 
 
@@ -280,12 +319,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
     shape, content = args.shape, args.content
     fast_paths = FAST_PATHS[args.fast_paths]
     cache, loaded = _load_cache(args.cache)
-    print(f"shape: {format_partition(shape)}")
-    print(f"content: {format_partition(content)}")
-
     t0 = time.perf_counter()
     value = kostka(shape, content, cache)
     recursion_s = time.perf_counter() - t0
+    _check_served([(shape, content)], [value])
+    _save_cache(cache, args.cache, loaded)
+    print(f"shape: {format_partition(shape)}")
+    print(f"content: {format_partition(content)}")
     print(f"recursion: {recursion_s * 1000:.3f} ms "
           f"({len(cache)} cache entries, {cache.hits} hits, {cache.misses} misses)")
 
@@ -317,8 +357,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             ratio = recursion_s / max(charge_s, 1e-9)
             print(f"speedup: charge oracle {ratio:.1f}x faster than recursion")
-
-    _save_cache(cache, args.cache, loaded)
     return status
 
 
@@ -333,17 +371,17 @@ def main(argv: list[str] | None = None) -> int:
     env_cache = os.environ.get("KOSTKA_CACHE")
     source = "KOSTKA_CACHE" if env_cache else "--cache"
     args.cache = env_cache or args.cache
-    problem = _cache_path_problem(args.cache)
-    if problem:
-        print(f"kostka: error: {source} {args.cache!r}: {problem}", file=sys.stderr)
-        return 1
     command = {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify,
                "bench": cmd_bench}[args.command]
     try:
+        _check_cache_path(args.cache)
         status = command(args)
         # flushed here, so a reader that closes stdout early is met in this try
         sys.stdout.flush()
         return status
+    except CachePathError as exc:
+        print(f"kostka: error: {source} {args.cache!r}: {exc}", file=sys.stderr)
+        return 1
     except CacheFormatError as exc:
         print(f"kostka: cache error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,6 @@ import threading
 
 from .partitions import (
     Partition,
-    PartitionParseError,
     branch_shape,
     conjugate,
     dominates,
@@ -48,7 +47,8 @@ class CacheConflictError(RuntimeError):
 
 
 class CacheFormatError(ValueError):
-    """A persisted cache file is corrupt; the message names the file, the line and the key."""
+    """A persisted cache file is corrupt, naming the file, the line and the key; or a
+    value served from the memo breaks an invariant, naming the key."""
 
 
 FAST_PATH_NAMES = ("one-row", "hook", "column")
@@ -122,7 +122,8 @@ class KostkaCache:
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
         except BaseException:
-            with contextlib.suppress(FileNotFoundError):
+            # the error that stopped the save is the one to report, not the cleanup's
+            with contextlib.suppress(OSError):
                 os.remove(tmp)
             raise
 
@@ -168,25 +169,19 @@ class KostkaCache:
                 try:
                     shape, n_shape = parse(fields[0])
                     content, n_content = parse(fields[1])
-                except PartitionParseError as exc:
-                    raise error(line_no, f"key {key_text}: {exc}") from exc
-                try:
-                    obj = json.loads(fields[2])
-                except (ValueError, RecursionError) as exc:  # deep nesting recurses
-                    raise error(line_no, f"key {key_text}: {exc}") from exc
-                if isinstance(obj, list) and obj:
-                    if not dominates(shape, content):
-                        raise error(line_no, f"key {key_text}: nonzero value for non-dominating pair")
-                    try:
-                        span = obj[-1][0] - obj[0][0]
-                    except (TypeError, LookupError):
-                        span = 0  # malformed entries: from_json_obj names the fault
-                    if span > n_content - n_shape:
-                        raise error(line_no, f"key {key_text}: exponents span {span}, "
-                                             f"more than n(content) - n(shape) = {n_content - n_shape}")
-                try:
+                    obj = json.loads(fields[2])  # deep nesting raises RecursionError
+                    if isinstance(obj, list) and obj:
+                        if not dominates(shape, content):
+                            raise ValueError("nonzero value for non-dominating pair")
+                        try:
+                            span = obj[-1][0] - obj[0][0]
+                        except (TypeError, LookupError, OverflowError):
+                            span = 0  # malformed entries: from_json_obj names the fault
+                        if span > n_content - n_shape:
+                            raise ValueError(f"exponents span {span}, more than "
+                                             f"n(content) - n(shape) = {n_content - n_shape}")
                     value = TPoly.from_json_obj(obj)
-                except (ValueError, TypeError) as exc:
+                except (ValueError, TypeError, RecursionError) as exc:
                     raise error(line_no, f"key {key_text}: {exc}") from exc
                 try:
                     cache.put(shape, content, value)

@@ -132,6 +132,20 @@ class TPoly:
             return -1
         return self._v + abs(self._k).bit_length() // self._w
 
+    def leading_term(self) -> tuple[int, int]:
+        """(degree, coefficient) of the highest term, read from the packed
+        form without unpacking it; (-1, 0) for the zero polynomial."""
+        k = self._k
+        if not k:
+            return -1, 0
+        d = abs(k).bit_length() // self._w
+        if not d:
+            return self._v, k
+        # the slots below the top one sum to less than half its unit in size,
+        # so the top slot is k / 2^(w d) rounded; shifting first reads only the top
+        half = self._w * d - 1
+        return self._v + d, ((k >> half) + 1) >> 1
+
     def items(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return list(filter(_second, zip(count(self._v), _unpack(self._k, self._w))))

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import json
 import os
@@ -249,6 +250,43 @@ def test_cache_format_error_names_the_file_that_was_read(capsys, tmp_path, monke
     assert str(flag_path) not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+def test_memo_file_that_cannot_be_written_is_one_error_line(capsys, tmp_path, monkeypatch,
+                                                           via_env):
+    # a name the path check passes but the file system refuses, met at the save
+    path = tmp_path / ("m" * 300 + ".tsv")
+    argv = ["compute", "--shape", "2,1", "--content", "1,1,1"]
+    if via_env:
+        monkeypatch.setenv("KOSTKA_CACHE", str(path))
+    else:
+        argv += ["--cache", str(path)]
+    code, out, err = run(capsys, *argv)
+    source = "KOSTKA_CACHE" if via_env else "--cache"
+    assert code == 1 and out == ""
+    assert err == f"kostka: error: {source} {str(path)!r}: {os.strerror(errno.ENAMETOOLONG)}\n"
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("value, problem", [
+    # the exponents span 2, which the load allows, but the degree is wrong
+    ('[[1000000,"1"],[1000002,"1"]]', "has degree 1000002, not n(content) - n(shape) = 2"),
+    ('[[1,"1"],[2,"2"]]', "has top coefficient 2, not 1"),
+    ("[]", "is zero for a dominating pair"),
+])
+@pytest.mark.parametrize("command", [["compute", "--shape", "2,1", "--content", "1,1,1"],
+                                     ["table", "--n", "3"],
+                                     ["bench", "--shape", "2,1", "--content", "1,1,1"]])
+def test_served_value_that_breaks_the_invariants_exits_2(capsys, tmp_path, value, problem,
+                                                         command):
+    path = tmp_path / "memo.tsv"
+    path.write_text(f"2,1\t1,1,1\t{value}\n")
+    before = path.read_bytes()
+    code, out, err = run(capsys, *command, "--cache", str(path))
+    assert code == 2 and out == ""
+    assert err == f"kostka: cache error: key 2,1 / 1,1,1: served value {problem}\n"
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("line, problem", [
     # 26 bytes asking for two million coefficients
     ('1\t1\t[[0,"1"],[2000000,"1"]]', "exponents span 2000000"),
@@ -420,17 +458,27 @@ def test_import_leaves_out_the_pool_and_dataclasses():
     assert result.stdout == "[]\n"
 
 
-def test_a_reader_that_closes_early_gets_no_traceback():
-    # 950,654 bytes of CSV, far past a pipe buffer, so writes fail once the reader is gone
+def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
+    # each output runs far past a pipe buffer (950,654 bytes of CSV for the
+    # table), so writes fail once the reader is gone; the memo is saved first
     src = os.path.dirname(os.path.dirname(kostka.cli.__file__))
     env = {k: v for k, v in os.environ.items() if k != "KOSTKA_CACHE"}
-    proc = subprocess.Popen([sys.executable, "-m", "kostka.cli", "table", "--n", "14"],
-                            cwd=src, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"shape,content,polynomial\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
-    assert err == b""
+    memo = KostkaCache()
+    headline = engine.kostka((6, 4, 3, 2), (3,) + (1,) * 12, memo)
+    for argv, first, entries in [
+        (["table", "--n", "14"], b"shape,content,polynomial\n", 9151),
+        (["compute", "--shape", "6,4,3,2", "--content", "3,1^12", "--dump-tableaux"],
+         f"{headline}\n".encode(), len(memo)),
+    ]:
+        path = tmp_path / f"{argv[0]}.tsv"
+        proc = subprocess.Popen([sys.executable, "-m", "kostka.cli", *argv, "--cache", str(path)],
+                                cwd=src, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == first
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1, argv
+        assert err == b""
+        assert len(KostkaCache.load(str(path))) == entries, argv
 
 
 def test_table_json_rows_round_trip(capsys):
@@ -498,10 +546,12 @@ def test_verify_column_check_does_not_share_the_engine_closed_form(capsys, monke
     real = kostka.core.kostka_column
     monkeypatch.setattr(kostka.core, "kostka_column", lambda shape: real(shape).shift(1))
     monkeypatch.setattr(kostka.cli, "kostka_column", kostka.core.kostka_column, raising=False)
+    # written in-process: the CLI refuses to serve these values, since their
+    # degrees are one too high, but verify must still report them
     path = tmp_path / "memo.tsv"
-    code, _, _ = run(capsys, "compute", "--shape", "3,1,1", "--content", "1^5",
-                     "--cache", str(path))
-    assert code == 0
+    memo = KostkaCache()
+    engine.kostka((3, 1, 1), (1,) * 5, memo)
+    memo.save(str(path))
     code, out, _ = run(capsys, "verify", "--max-n", "4", "--cache", str(path))
     assert code == 2
     assert ("mismatch: shape=2,1,1 content=1,1,1,1 got=t^2 + t^3 + t^4 "

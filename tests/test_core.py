@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from kostka.core import (
     prefix_reduce,
     recursion_children,
 )
-from kostka.oracles import kostka_via_charge
+from kostka.oracles import charge_polynomials, kostka_via_charge
 from kostka.partitions import (
     branch_shape,
     conjugate,
@@ -402,10 +403,12 @@ def test_monic_of_degree_weighted_size_gap():
                     assert value.coeff(top) == 1
 
 
-def test_table_identities_at_n_14():
-    # K(0) is the identity matrix, and sum_shape f^shape K[shape, content](1)
-    # counts the words of the content: n! / prod content_i!
-    n = 14
+@pytest.mark.parametrize("n", [14, 16, pytest.param(18, marks=pytest.mark.slow),
+                               pytest.param(20, marks=pytest.mark.slow)])
+def test_table_identities_and_charge_columns(n):
+    # K(0) is the identity matrix, sum_shape f^shape K[shape, content](1)
+    # counts the words of the content: n! / prod content_i!, and each column
+    # of the table is the charge oracle's
     ps = list(partitions_of(n))
     cache = KostkaCache()
     table = {(s, c): kostka(s, c, cache) for s in ps for c in ps if dominates(s, c)}
@@ -415,6 +418,8 @@ def test_table_identities_at_n_14():
     for c in ps:
         words = sum(f[s] * table[s, c].evaluate(1) for s in ps if (s, c) in table)
         assert words == factorial(n) // prod(map(factorial, c)), c
+        column = {s: table[s, c] for s in ps if (s, c) in table}
+        assert column == charge_polynomials(c), c
 
 
 # --- random pairs beyond the oracle sweep, through one shared memo ---
@@ -489,6 +494,23 @@ def test_cache_save_load_round_trip(tmp_path):
     json.loads(first[2])
 
 
+def test_cache_round_trips_coefficients_past_64_bits(tmp_path):
+    wide = TPoly({1: 2**70, 2: 3 * 2**80})
+    cache = KostkaCache()
+    cache.put((2, 1), (1, 1, 1), wide)
+    path = tmp_path / "memo.tsv"
+    cache.save(str(path))
+    loaded = KostkaCache.load(str(path))
+    assert loaded.items() == cache.items()
+    assert loaded.get((2, 1), (1, 1, 1)).items() == [(1, 2**70), (2, 3 * 2**80)]
+    # a corrupt line after the wide one is still named by its line and key
+    with open(path, "a") as fh:
+        fh.write('3,1\t2,1,1\t[[1,"x"]]\n')
+    with pytest.raises(CacheFormatError) as err:
+        KostkaCache.load(str(path))
+    assert str(err.value) == f"{path}: line 2: key 3,1 / 2,1,1: bad coefficient string 'x'"
+
+
 def test_cache_load_reads_crlf_lines_and_skips_blank_ones(tmp_path):
     cache = KostkaCache()
     kostka((4, 2, 1), (2, 2, 1, 1, 1), cache)
@@ -525,6 +547,17 @@ def test_interrupted_save_keeps_the_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["memo.tsv"]
 
 
+def test_a_save_that_cannot_open_its_file_reports_that_error(tmp_path):
+    cache = KostkaCache()
+    kostka((3, 2, 1), (2, 2, 1, 1), cache)
+    with pytest.raises(OSError) as err:
+        cache.save(str(tmp_path / ("m" * 300 + ".tsv")))
+    assert err.value.errno == errno.ENAMETOOLONG
+    # a failed cleanup would raise its own error, with the open's as its context
+    assert err.value.__context__ is None
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize(
     "line, fragment",
     [
@@ -534,6 +567,8 @@ def test_interrupted_save_keeps_the_old_file(tmp_path, monkeypatch):
         ("3,2,1\t2,2,1,1\tnot json", "2,2,1,1"),
         ("2,2,1,1\t3,2,1\t[[1,\"1\"]]", "non-dominating"),
         ("2,1\t3\t[[0,\"1\"]]", "non-dominating"),
+        # a float exponent against a huge one overflows the span's subtraction
+        ("2,1\t1,1,1\t[[1.5,\"1\"],[1" + "0" * 400 + ",\"1\"]]", "bad exponent 1.5"),
     ],
 )
 def test_cache_load_rejects_corrupt_lines(tmp_path, line, fragment):

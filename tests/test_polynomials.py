@@ -66,6 +66,8 @@ def test_degree_and_coeff():
     assert p.coeff(3) == 5
     assert p.coeff(2) == 0
     assert ZERO.degree() == -1
+    assert p.leading_term() == (3, 5)
+    assert ZERO.leading_term() == (-1, 0)
 
 
 # --- arithmetic ---
@@ -95,6 +97,9 @@ def test_ring_axioms(a, b, c):
 def test_packed_sums_match_the_coefficientwise_reference(a, b, e):
     assert dict((a + b).items()) == dict_sum(a, b)
     assert dict((a - b.shift(e)).items()) == dict_sum(a, b.shift(e), -1)
+    # the top slot is read from the packed form, whatever the signs below it
+    for p in (a + b, a - b.shift(e)):
+        assert p.leading_term() == (p.items()[-1] if p else (-1, 0))
     assert (a + b) - b == a
     assert not a or a.shift(e + 1) != a
 
@@ -125,6 +130,7 @@ def test_equality_and_hash_agree_across_widths(p, big):
     assert same == p and p == same
     assert hash(same) == hash(p)
     assert same.items() == p.items()
+    assert same.leading_term() == p.leading_term() == p.items()[-1]
     assert (same + wide) != p
     # the round trip is not always wide: when big sits in the top bit of its
     # slot, the difference's bound overflows and it re-packs at the smallest width
