@@ -158,7 +158,9 @@ def _save_cache(cache: KostkaCache, path: str | None, loaded: int | None) -> Non
     """Persist the memo unless it holds just what its existing file held.
 
     Entries are write-once and never dropped, so an unchanged size means
-    unchanged entries, and rewriting the file would reproduce its bytes.
+    unchanged entries, and rewriting the file would reproduce its entries,
+    though not necessarily its bytes: a memo read from JSON values is written
+    back as dense text.
     """
     if path and len(cache) != loaded:
         try:

@@ -21,7 +21,6 @@ import contextlib
 import functools
 import json
 import os
-import threading
 
 from .partitions import (
     Partition,
@@ -104,19 +103,18 @@ class KostkaCache:
         )
 
     def save(self, path: str) -> None:
-        """One record per line: shape TAB content TAB polynomial JSON.
+        """One record per line: shape TAB content TAB the value's dense text.
 
-        The records go to a temporary file beside `path` that then replaces
-        it, so an interrupted save, or a crash, leaves the old file whole.
+        The records go to a temporary file in the directory of `path`, under
+        a short name of its own, that then replaces it, so an interrupted
+        save, or a crash, leaves the old file whole.
         """
-        tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+        tmp, fd = _create_beside(path)
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with open(fd, "w", encoding="utf-8") as fh:
                 for (shape, content), value in self.items():
-                    fh.write(
-                        f"{format_partition(shape)}\t{format_partition(content)}\t"
-                        f"{json.dumps(value.to_json_obj())}\n"
-                    )
+                    fh.write(f"{format_partition(shape)}\t{format_partition(content)}\t"
+                             f"{value.to_dense_text()}\n")
                 # the records reach the disk before the name points at them
                 fh.flush()
                 os.fsync(fh.fileno())
@@ -131,12 +129,13 @@ class KostkaCache:
     def load(cls, path: str) -> "KostkaCache":
         """Read a persisted cache, validating every record.
 
-        Rejects malformed lines, any nonzero entry whose shape does not
-        dominate its content, and any value whose exponents span more than
-        n(content) - n(shape), naming the file, the line and the offending
-        key.  Both refusals come before the value is expanded, so a short
-        line cannot make the load allocate far more than a correct value
-        needs.
+        A value field starting with "[" is polynomial JSON, the format of
+        earlier saves; any other field is dense text.  Rejects malformed
+        lines, any nonzero entry whose shape does not dominate its content,
+        and any value whose exponents span more than n(content) - n(shape),
+        naming the file, the line and the offending key.  Both refusals come
+        before the value is expanded, so a short line cannot make the load
+        allocate far more than a correct value needs.
         """
         cache = cls()
         # the same partitions key many lines: each text is parsed once, and
@@ -166,21 +165,29 @@ class KostkaCache:
                 if len(fields) != 3:
                     raise error(line_no, f"expected 3 tab-separated fields, got {len(fields)}")
                 key_text = f"{fields[0]} / {fields[1]}"
+                text = fields[2]
                 try:
                     shape, n_shape = parse(fields[0])
                     content, n_content = parse(fields[1])
-                    obj = json.loads(fields[2])  # deep nesting raises RecursionError
-                    if isinstance(obj, list) and obj:
-                        if not dominates(shape, content):
-                            raise ValueError("nonzero value for non-dominating pair")
+                    if text.startswith("["):
+                        # polynomial JSON; deep nesting raises RecursionError
+                        decode, obj = TPoly.from_json_obj, json.loads(text)
+                        nonzero = isinstance(obj, list) and len(obj) > 0
                         try:
-                            span = obj[-1][0] - obj[0][0]
+                            span = obj[-1][0] - obj[0][0] if nonzero else 0
                         except (TypeError, LookupError, OverflowError):
                             span = 0  # malformed entries: from_json_obj names the fault
+                    else:
+                        # "v:c0,...,cd" spans d, one per comma
+                        decode, obj = TPoly.from_dense_text, text
+                        nonzero, span = len(text) > 0, text.count(",")
+                    if nonzero:
+                        if not dominates(shape, content):
+                            raise ValueError("nonzero value for non-dominating pair")
                         if span > n_content - n_shape:
                             raise ValueError(f"exponents span {span}, more than "
                                              f"n(content) - n(shape) = {n_content - n_shape}")
-                    value = TPoly.from_json_obj(obj)
+                    value = decode(obj)
                 except (ValueError, TypeError, RecursionError) as exc:
                     raise error(line_no, f"key {key_text}: {exc}") from exc
                 try:
@@ -188,6 +195,21 @@ class KostkaCache:
                 except CacheConflictError as exc:
                     raise error(line_no, str(exc)) from exc
         return cache
+
+
+def _create_beside(path: str) -> tuple[str, int]:
+    """A new file in the directory of `path`, open for writing: its name and descriptor.
+
+    The name is short and random, so it fits wherever `path` does, and the
+    file takes the mode a plain `open` would give it.
+    """
+    directory = os.path.dirname(path)
+    while True:
+        tmp = os.path.join(directory, f".{os.urandom(6).hex()}.kostka.tmp")
+        try:
+            return tmp, os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
 
 
 def prefix_reduce(shape: Partition, content: Partition) -> tuple[Partition, Partition]:

@@ -39,6 +39,7 @@ def not_divisible_count() -> int:
 
 _BIG_ENDIAN = sys.byteorder == "big"
 _second = itemgetter(1)
+_DENSE_CHARS = b"0123456789,-"  # every byte of a dense form's coefficient list
 
 
 def _width_for(m: int) -> int:
@@ -284,6 +285,35 @@ class TPoly:
         for i, zeros in reversed(gaps):
             coeffs[i:i] = [0] * zeros
         return _from_dense(coeffs, last + 1 - len(coeffs))
+
+    def to_dense_text(self) -> str:
+        """Dense text form "v:c0,c1,...,cd" for sum c_i t^(v+i), every coefficient
+        from the lowest to the highest term written in decimal; "" for zero."""
+        if not self._k:
+            return ""
+        return f"{self._v}:{','.join(map(str, _unpack(self._k, self._w)))}"
+
+    @classmethod
+    def from_dense_text(cls, text: str) -> "TPoly":
+        """Strictly validated inverse of to_dense_text: ASCII digits, a "-" leading a
+        negative coefficient, commas, and nonzero first and last coefficients."""
+        if not text:
+            return ZERO
+        head, colon, body = text.partition(":")
+        try:
+            if not (colon and head.isascii() and head.isdigit() and body.isascii()) or (
+                    body.encode().translate(None, _DENSE_CHARS)):
+                raise ValueError
+            # int refuses what is left: a misplaced "-" and an empty coefficient
+            coeffs = list(map(int, body.split(",")))
+            if not coeffs[0] or not coeffs[-1]:
+                raise ValueError
+        except ValueError:
+            clipped = text if len(text) <= 40 else text[:40] + "..."
+            raise ValueError(f"bad dense polynomial text {clipped!r}") from None
+        m = max(max(coeffs), -min(coeffs))
+        w = _width_for(m)
+        return _new(_pack(coeffs, w), int(head), w, m)
 
 
 _alloc = object.__new__

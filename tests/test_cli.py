@@ -180,6 +180,37 @@ def test_warm_table_leaves_the_memo_file_alone(capsys, tmp_path):
     assert len(KostkaCache.load(str(path))) > len(before.splitlines())
 
 
+def test_json_memo_serves_the_same_table_and_is_rewritten_only_when_it_grows(capsys, tmp_path):
+    # a memo saved before values were dense holds polynomial JSON fields
+    code, cold, _ = run(capsys, "table", "--n", "8")
+    assert code == 0
+    dense = tmp_path / "dense.tsv"
+    run(capsys, "table", "--n", "8", "--cache", str(dense))
+    path = tmp_path / "memo.tsv"
+    path.write_text("".join(
+        f"{format_partition(s)}\t{format_partition(c)}\t{json.dumps(v.to_json_obj())}\n"
+        for (s, c), v in KostkaCache.load(str(dense)).items()))
+    before = path.read_bytes()
+    code, warm, _ = run(capsys, "table", "--n", "8", "--cache", str(path))
+    assert code == 0 and warm == cold
+    assert path.read_bytes() == before
+    # once it gains entries the whole memo is written dense
+    code, _, _ = run(capsys, "table", "--n", "9", "--cache", str(path))
+    assert code == 0
+    fields = [line.split("\t")[2] for line in path.read_text().splitlines()]
+    assert len(fields) > len(before.splitlines())
+    assert not [f for f in fields if f.startswith("[")]
+
+
+def test_memo_name_of_240_bytes_is_saved(capsys, tmp_path):
+    path = tmp_path / ("m" * 240)
+    code, out, err = run(capsys, "compute", "--shape", "2,1", "--content", "1,1,1",
+                         "--cache", str(path))
+    assert (code, out, err) == (0, "t + t^2\n", "")
+    assert KostkaCache.load(str(path)).get((2, 1), (1, 1, 1)) == TPoly({1: 1, 2: 1})
+    assert os.listdir(tmp_path) == [path.name]
+
+
 def test_env_var_overrides_cache_flag(capsys, tmp_path, monkeypatch):
     env_path = tmp_path / "env.tsv"
     flag_path = tmp_path / "flag.tsv"
@@ -227,7 +258,7 @@ def test_cache_file_that_is_not_utf8_names_the_file_and_line(capsys, tmp_path):
     assert code == 2 and out == ""
     assert f"{path}: line 1: not UTF-8" in err
     # past the text decoder's first chunk the line number is still exact
-    code, _, _ = run(capsys, "table", "--n", "9", "--cache", str(path.with_name("good.tsv")))
+    code, _, _ = run(capsys, "table", "--n", "11", "--cache", str(path.with_name("good.tsv")))
     good = path.with_name("good.tsv").read_bytes()
     assert code == 0 and len(good) > 4 * 8192
     path.write_bytes(good + b"2\t1,1\t[[1,\"\xe9\"]]\n" + good)

@@ -29,8 +29,10 @@ from kostka.partitions import (
     branch_shape,
     conjugate,
     dominates,
+    format_partition,
     hook_lengths,
     horizontal_strip_additions,
+    parse_partition,
     partitions_of,
     weight,
     weighted_size,
@@ -488,10 +490,14 @@ def test_cache_save_load_round_trip(tmp_path):
     loaded = KostkaCache.load(str(path))
     assert loaded.items() == cache.items()
     assert len(loaded) == len(cache) == len(path.read_text().splitlines())
-    # file layout: shape TAB content TAB polynomial JSON
+    # file layout: shape TAB content TAB dense text, the valuation and then
+    # every coefficient up to the degree
     first = path.read_text().splitlines()[0].split("\t")
     assert len(first) == 3
-    json.loads(first[2])
+    value = cache.get(parse_partition(first[0]), parse_partition(first[1]))
+    low = value.items()[0][0]
+    assert first[2] == f"{low}:" + ",".join(str(value.coeff(e))
+                                            for e in range(low, value.degree() + 1))
 
 
 def test_cache_round_trips_coefficients_past_64_bits(tmp_path):
@@ -531,15 +537,15 @@ def test_interrupted_save_keeps_the_old_file(tmp_path, monkeypatch):
     bigger = KostkaCache.load(str(path))
     kostka((5, 3, 2, 1), (2, 2, 2, 1, 1, 1, 1, 1), bigger)
     written = []
-    to_json_obj = TPoly.to_json_obj
+    to_dense_text = TPoly.to_dense_text
 
     def fail_midway(self):
         written.append(self)
         if len(written) == 5:
             raise OSError("disk full")
-        return to_json_obj(self)
+        return to_dense_text(self)
 
-    monkeypatch.setattr(TPoly, "to_json_obj", fail_midway)
+    monkeypatch.setattr(TPoly, "to_dense_text", fail_midway)
     with pytest.raises(OSError, match="disk full"):
         bigger.save(str(path))
     assert len(written) == 5 < len(bigger)
@@ -553,7 +559,7 @@ def test_a_save_that_cannot_open_its_file_reports_that_error(tmp_path):
     with pytest.raises(OSError) as err:
         cache.save(str(tmp_path / ("m" * 300 + ".tsv")))
     assert err.value.errno == errno.ENAMETOOLONG
-    # a failed cleanup would raise its own error, with the open's as its context
+    # a failed cleanup would raise its own error, with the save's as its context
     assert err.value.__context__ is None
     assert os.listdir(tmp_path) == []
 
@@ -592,3 +598,96 @@ def test_cache_load_accepts_zero_for_non_dominating_pair(tmp_path):
     path.write_text("2,1\t3\t[]\n")
     loaded = KostkaCache.load(str(path))
     assert loaded.get((2, 1), (3,)) == ZERO
+
+
+def test_a_save_fits_wherever_its_target_name_does(tmp_path):
+    # the temporary file's name does not grow with the target's
+    cache = KostkaCache()
+    kostka((3, 2, 1), (2, 2, 1, 1), cache)
+    path = tmp_path / ("m" * 255)
+    cache.save(str(path))
+    assert KostkaCache.load(str(path)).items() == cache.items()
+    assert os.listdir(tmp_path) == [path.name]
+    # and the file gets the mode a plainly created one gets
+    (tmp_path / "plain").touch()
+    assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def _write_json_memo(cache, path):
+    """The file a save wrote before values were dense: polynomial JSON fields."""
+    path.write_text("".join(
+        f"{format_partition(s)}\t{format_partition(c)}\t{json.dumps(v.to_json_obj())}\n"
+        for (s, c), v in cache.items()))
+
+
+def test_a_json_memo_loads_like_its_dense_resave(tmp_path):
+    cache = KostkaCache()
+    parts = list(partitions_of(9))
+    for s in parts:
+        for c in parts:
+            kostka(s, c, cache)
+    json_path, dense_path = tmp_path / "json.tsv", tmp_path / "dense.tsv"
+    _write_json_memo(cache, json_path)
+    loaded = KostkaCache.load(str(json_path))
+    assert loaded.items() == cache.items()
+    loaded.save(str(dense_path))
+    assert KostkaCache.load(str(dense_path)).items() == cache.items()
+    assert dense_path.stat().st_size < json_path.stat().st_size / 2
+    # one file may hold both encodings, as after a JSON memo gained entries
+    json_lines = json_path.read_text().splitlines(keepends=True)
+    dense_lines = dense_path.read_text().splitlines(keepends=True)
+    assert len(json_lines) == len(dense_lines) == len(cache)
+    mixed = tmp_path / "mixed.tsv"
+    mixed.write_text("".join(json_lines[::2] + dense_lines[1::2]))
+    assert KostkaCache.load(str(mixed)).items() == cache.items()
+
+
+@pytest.mark.parametrize(
+    "line, problem",
+    [
+        ("2,1\t1,1,1\t1:1,+1", "bad dense polynomial text '1:1,+1'"),
+        ("2,1\t1,1,1\t1:1,,1", "bad dense polynomial text '1:1,,1'"),
+        ("2,1\t1,1,1\t1:1_0", "bad dense polynomial text '1:1_0'"),
+        ("2,1\t1,1,1\t1: 1", "bad dense polynomial text '1: 1'"),
+        ("2,1\t1,1,1\tx:1", "bad dense polynomial text 'x:1'"),
+        ("2,1\t1,1,1\t1:0,1", "bad dense polynomial text '1:0,1'"),
+        ("2,1\t1,1,1\t1:1,0", "bad dense polynomial text '1:1,0'"),
+        ("2,1\t1,1,1\tnot json", "bad dense polynomial text 'not json'"),
+        # the dominance and span refusals, as for JSON values
+        ("2,2,1,1\t3,2,1\t1:1", "nonzero value for non-dominating pair"),
+        ("2,2,1,1\t3,2,1\tgarbage", "nonzero value for non-dominating pair"),
+        ("2,1\t1,1,1\t1:1,0,0,1", "exponents span 3, more than n(content) - n(shape) = 2"),
+    ],
+)
+def test_cache_load_rejects_bad_dense_fields(tmp_path, line, problem):
+    path = tmp_path / "bad.tsv"
+    path.write_text('3\t2,1\t2:1\n' + line + "\n")
+    key = " / ".join(line.split("\t")[:2])
+    with pytest.raises(CacheFormatError) as err:
+        KostkaCache.load(str(path))
+    assert str(err.value) == f"{path}: line 2: key {key}: {problem}"
+
+
+def test_dense_value_is_refused_by_its_span_before_it_is_expanded(tmp_path):
+    # a million coefficients for a pair whose values have one
+    path = tmp_path / "wide.tsv"
+    path.write_text("1\t1\t0:" + "1," * 10**6 + "1\n")
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        with pytest.raises(CacheFormatError, match="exponents span 1000000, more than"):
+            KostkaCache.load(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the line's own copies, never a list of its coefficients (about 30 times its size)
+    assert peak < 6 * size
+
+
+def test_cache_load_accepts_an_empty_field_as_zero(tmp_path):
+    path = tmp_path / "ok.tsv"
+    path.write_text("2,1\t3\t\n3\t2,1\t2:1\n")
+    loaded = KostkaCache.load(str(path))
+    assert loaded.get((2, 1), (3,)) == ZERO and loaded.get((3,), (2, 1)) == TPoly({2: 1})
+    loaded.save(str(path))
+    assert path.read_text() == "2,1\t3\t\n3\t2,1\t2:1\n"

@@ -335,6 +335,46 @@ def test_from_json_obj_rejects_bad_input(obj):
         TPoly.from_json_obj(obj)
 
 
+def test_dense_text_round_trip():
+    # interior zeros are written, so the text spans every exponent from v to the degree
+    p = TPoly({3: 1, 5: -2, 6: 2**70})
+    assert p.to_dense_text() == f"3:1,0,-2,{2**70}"
+    assert TPoly.from_dense_text(p.to_dense_text()) == p
+    assert ZERO.to_dense_text() == ""
+    assert TPoly.from_dense_text("") == ZERO
+    assert TPoly.from_dense_text("0:1") == ONE
+
+
+@given(tpolys() | wide_tpolys)
+def test_dense_text_round_trip_random(p):
+    text = p.to_dense_text()
+    q = TPoly.from_dense_text(text)
+    assert q == p and q.items() == p.items() and hash(q) == hash(p)
+    assert text.count(",") == (p.degree() - p.items()[0][0] if p else 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1", ":1", "-1:1", "+1:1", "\u0663:1",  # a non-ASCII digit
+        "1:", "1:1,,1", "1:,1", "1:+1", "1:1_0", "1: 1", "1:1 ", "1:\uff11",  # a fullwidth digit
+        "1:--1", "1:1-1", "1:1,-", "1:1:1",
+        "1:0,1", "1:1,0", "1:0", "1:-0,1",  # a zero end
+        "[[1, \"1\"]]",
+    ],
+)
+def test_from_dense_text_accepts_only_what_to_dense_text_writes(text):
+    with pytest.raises(ValueError) as err:
+        TPoly.from_dense_text(text)
+    assert str(err.value) == f"bad dense polynomial text {text!r}"
+
+
+def test_bad_dense_text_is_clipped_in_its_message():
+    with pytest.raises(ValueError) as err:
+        TPoly.from_dense_text("0:1," + "1," * 100 + "x")
+    assert str(err.value) == f"bad dense polynomial text {'0:1,' + '1,' * 18 + '...'!r}"
+
+
 def test_only_the_polynomial_layer_packs_integers():
     # one module owns the layout of coefficients in the slots of an integer
     for path in sorted(Path(kostka.__file__).parent.glob("*.py")):
