@@ -7,7 +7,6 @@ from .core import (
     KostkaCache,
     PreconditionViolated,
     kostka,
-    kostka_auto,
     kostka_column,
     kostka_hook,
     kostka_one_row,

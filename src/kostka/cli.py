@@ -22,7 +22,6 @@ from .core import (
     CacheFormatError,
     KostkaCache,
     kostka,
-    kostka_auto,
     kostka_hook,
     kostka_one_row,
 )
@@ -175,7 +174,7 @@ def _compute_pairs(
     fast_paths: frozenset[str] = frozenset(),
 ) -> list[TPoly]:
     """Evaluate all pairs in order, sharing one memo."""
-    return [kostka_auto(s, c, cache, fast_paths) for s, c in pairs]
+    return [kostka(s, c, cache, fast_paths) for s, c in pairs]
 
 
 def _check_served(pairs: list[tuple[Partition, Partition]], values: list[TPoly]) -> None:
@@ -236,7 +235,7 @@ def _print_rows(pairs: list[tuple[Partition, Partition]], values: list[TPoly], f
 
 def cmd_compute(args: argparse.Namespace) -> int:
     cache, loaded = _load_cache(args.cache)
-    value = kostka_auto(args.shape, args.content, cache, FAST_PATHS[args.fast_paths])
+    value = kostka(args.shape, args.content, cache, FAST_PATHS[args.fast_paths])
     _check_served([(args.shape, args.content)], [value])
     _save_cache(cache, args.cache, loaded)
     if args.format == "csv":
@@ -335,7 +334,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if fast_paths:
         audit: dict = {}
         t0 = time.perf_counter()
-        fast_value = kostka_auto(shape, content, None, fast_paths, audit)
+        fast_value = kostka(shape, content, None, fast_paths, audit)
         fast_s = time.perf_counter() - t0
         print(f"dispatch: {audit['path']} path in {fast_s * 1000:.3f} ms")
         if fast_value != value:

@@ -8,11 +8,12 @@ of t carried by the branch (Pieri rule); branches whose size would be
 negative vanish.  Intermediate signed sums may go negative, but every value
 returned for a valid pair is a polynomial with nonnegative coefficients.
 
-Closed forms cover one-row shapes, hook shapes and single-column contents;
-`kostka_auto` dispatches between them and the general iteration, and a
-common leading run of equal parts in shape and content can always be chopped
-off first (`prefix_reduce`).  Inside the iteration, every subproblem below
-the root with single-column content is finished by the column closed form.
+Closed forms cover one-row shapes, hook shapes and single-column contents.
+`kostka` first chops off a common leading run of equal parts in shape and
+content (`prefix_reduce`), which never changes the value, then takes a
+closed form its caller allows or runs the general iteration.  Inside the
+iteration, every subproblem below the root with single-column content is
+finished by the column closed form.
 """
 
 from __future__ import annotations
@@ -131,11 +132,13 @@ class KostkaCache:
 
         A value field starting with "[" is polynomial JSON, the format of
         earlier saves; any other field is dense text.  Rejects malformed
-        lines, any nonzero entry whose shape does not dominate its content,
-        and any value whose exponents span more than n(content) - n(shape),
-        naming the file, the line and the offending key.  Both refusals come
-        before the value is expanded, so a short line cannot make the load
-        allocate far more than a correct value needs.
+        lines, any value that is zero for a key whose shape dominates its
+        content or nonzero for one whose shape does not, any value whose
+        exponents span more than n(content) - n(shape), and any negative
+        coefficient, naming the file, the line and the offending key.  The
+        dominance and span refusals come before the value is expanded, so a
+        short line cannot make the load allocate far more than a correct
+        value needs.
         """
         cache = cls()
         # the same partitions key many lines: each text is parsed once, and
@@ -187,7 +190,12 @@ class KostkaCache:
                         if span > n_content - n_shape:
                             raise ValueError(f"exponents span {span}, more than "
                                              f"n(content) - n(shape) = {n_content - n_shape}")
+                    elif dominates(shape, content):
+                        raise ValueError("zero value for dominating pair")
                     value = decode(obj)
+                    # after a successful decode, a "-" in dense text leads a coefficient
+                    if "-" in text and (obj is text or any(c < 0 for _, c in value.items())):
+                        raise ValueError("negative coefficient")
                 except (ValueError, TypeError, RecursionError) as exc:
                     raise error(line_no, f"key {key_text}: {exc}") from exc
                 try:
@@ -248,24 +256,45 @@ def recursion_children(shape: Partition, head: int) -> tuple[Branch, ...]:
     return tuple(out)
 
 
-def kostka(shape: Partition, content: Partition, cache: KostkaCache | None = None) -> TPoly:
-    """Kostka-Foulkes polynomial of the pair by the signed strip iteration.
+def kostka(
+    shape: Partition,
+    content: Partition,
+    cache: KostkaCache | None = None,
+    fast_paths: frozenset[str] = frozenset(),
+    audit: dict | None = None,
+) -> TPoly:
+    """Kostka-Foulkes polynomial of the pair.
 
     Zero unless the weights agree and shape dominates content; one when both
-    are empty.  Every computed pair is memoized in `cache`, or in a private
-    table for this call when none is given.
+    are empty.  Otherwise a closed form named in `fast_paths` that applies,
+    else the signed strip iteration, which memoizes every computed pair in
+    `cache`, or in a private table for this call when none is given.  The
+    value never depends on `fast_paths`; `audit`, when given, records which
+    route produced it under "path".
     """
-    if cache is None:
-        cache = KostkaCache()
-    shape, content = prefix_reduce(shape, content)
-    if not content and not shape:
-        return ONE
-    hit = cache.get(shape, content)
-    if hit is not None:
-        return hit
-    if not dominates(shape, content):
-        return ZERO
-    return _iterate((shape, content), cache)
+    s, c = prefix_reduce(shape, content)
+    if not dominates(s, c):
+        path, value = "vanishing", ZERO
+    elif not c:
+        path, value = "empty", ONE
+    # the flag first, then an O(1) shape test: parts are weakly decreasing,
+    # so a content starting with 1 is all ones, and s[1] == 1 makes a hook
+    elif "one-row" in fast_paths and len(s) == 1:
+        path, value = "one-row", kostka_one_row(c)
+    elif "column" in fast_paths and c[0] == 1:
+        path, value = "column", kostka_column(s)
+    elif "hook" in fast_paths and len(s) >= 2 and s[1] == 1:
+        path, value = "hook", kostka_hook(weight(s), len(s) - 1, c)
+    else:
+        path = "recursion"
+        if cache is None:
+            cache = KostkaCache()
+        value = cache.get(s, c)
+        if value is None:
+            value = _iterate((s, c), cache)
+    if audit is not None:
+        audit["path"] = path
+    return value
 
 
 def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
@@ -380,36 +409,3 @@ def kostka_column(shape: Partition) -> TPoly:
     """
     n = weight(shape)
     return t_quotient(range(1, n + 1), hook_lengths(shape)).shift(weighted_size(conjugate(shape)))
-
-
-def kostka_auto(
-    shape: Partition,
-    content: Partition,
-    cache: KostkaCache | None = None,
-    fast_paths: frozenset[str] = ALL_FAST_PATHS,
-    audit: dict | None = None,
-) -> TPoly:
-    """Dispatch to an applicable closed form, else the general iteration.
-
-    The value never depends on `fast_paths`; `audit`, when given, records
-    which route produced the result under "path".
-    """
-    fp = frozenset(fast_paths)
-    s, c = prefix_reduce(shape, content)
-    if not dominates(s, c):
-        path, value = "vanishing", ZERO
-    elif not c:
-        path, value = "empty", ONE
-    # the flag first, then an O(1) shape test: parts are weakly decreasing,
-    # so a content starting with 1 is all ones, and s[1] == 1 makes a hook
-    elif "one-row" in fp and len(s) == 1:
-        path, value = "one-row", kostka_one_row(c)
-    elif "column" in fp and c[0] == 1:
-        path, value = "column", kostka_column(s)
-    elif "hook" in fp and len(s) >= 2 and s[1] == 1:
-        path, value = "hook", kostka_hook(weight(s), len(s) - 1, c)
-    else:
-        path, value = "recursion", kostka(s, c, cache)
-    if audit is not None:
-        audit["path"] = path
-    return value

@@ -258,7 +258,6 @@ class TPoly:
         if not isinstance(obj, list):
             raise ValueError("TPoly JSON must be a list of [exponent, coefficient] pairs")
         coeffs: list[int] = []
-        gaps: list[tuple[int, int]] = []  # (index into coeffs, zeros missing before it)
         last = -1
         for entry in obj:
             if not isinstance(entry, list) or len(entry) != 2:
@@ -276,15 +275,19 @@ class TPoly:
                 raise ValueError(f"bad coefficient string {c!r}") from None
             if not ci:
                 raise ValueError(f"zero coefficient stored at exponent {e}")
-            if coeffs and e > last + 1:
-                gaps.append((len(coeffs), e - last - 1))
             last = e
             coeffs.append(ci)
-        # every entry is valid before a gap is filled, so a malformed list
-        # allocates no more than its own length
-        for i, zeros in reversed(gaps):
-            coeffs[i:i] = [0] * zeros
-        return _from_dense(coeffs, last + 1 - len(coeffs))
+        if not coeffs:
+            return ZERO
+        low = obj[0][0]
+        if len(coeffs) <= last - low:
+            # gaps: every entry is valid before the dense list is allocated, so
+            # a malformed list allocates no more than its own length
+            dense = [0] * (last + 1 - low)
+            for (e, _), ci in zip(obj, coeffs):
+                dense[e - low] = ci
+            coeffs = dense
+        return _from_dense(coeffs, low)
 
     def to_dense_text(self) -> str:
         """Dense text form "v:c0,c1,...,cd" for sum c_i t^(v+i), every coefficient

@@ -23,7 +23,7 @@ from kostka.partitions import (
     horizontal_strip_additions,
     partitions_of,
 )
-from kostka.polynomials import TPoly, t_binomial, t_factorial
+from kostka.polynomials import ZERO, TPoly, t_binomial, t_factorial
 
 
 def run(capsys, *argv):
@@ -226,7 +226,7 @@ def _refuse_to_compute(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("computed before the cache path was checked")
 
-    monkeypatch.setattr(kostka.cli, "kostka_auto", refuse)
+    monkeypatch.setattr(kostka.cli, "kostka", refuse)
 
 
 @pytest.mark.parametrize("via_env", [False, True])
@@ -298,23 +298,58 @@ def test_memo_file_that_cannot_be_written_is_one_error_line(capsys, tmp_path, mo
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("value, problem", [
+@pytest.mark.parametrize("value, message", [
     # the exponents span 2, which the load allows, but the degree is wrong
-    ('[[1000000,"1"],[1000002,"1"]]', "has degree 1000002, not n(content) - n(shape) = 2"),
-    ('[[1,"1"],[2,"2"]]', "has top coefficient 2, not 1"),
-    ("[]", "is zero for a dominating pair"),
+    pytest.param('[[1000000,"1"],[1000002,"1"]]',
+                 "key 2,1 / 1,1,1: served value has degree 1000002, not n(content) - n(shape) = 2",
+                 id='[[1000000,"1"],[1000002,"1"]]-has degree 1000002'),
+    pytest.param('[[1,"1"],[2,"2"]]', "key 2,1 / 1,1,1: served value has top coefficient 2, not 1",
+                 id='[[1,"1"],[2,"2"]]-has top coefficient 2'),
+    # a zero value for a dominating pair is refused by the load
+    pytest.param("[]", "{path}: line 1: key 2,1 / 1,1,1: zero value for dominating pair",
+                 id="[]-is zero for a dominating pair"),
 ])
 @pytest.mark.parametrize("command", [["compute", "--shape", "2,1", "--content", "1,1,1"],
                                      ["table", "--n", "3"],
                                      ["bench", "--shape", "2,1", "--content", "1,1,1"]])
-def test_served_value_that_breaks_the_invariants_exits_2(capsys, tmp_path, value, problem,
+def test_served_value_that_breaks_the_invariants_exits_2(capsys, tmp_path, value, message,
                                                          command):
     path = tmp_path / "memo.tsv"
     path.write_text(f"2,1\t1,1,1\t{value}\n")
     before = path.read_bytes()
     code, out, err = run(capsys, *command, "--cache", str(path))
     assert code == 2 and out == ""
-    assert err == f"kostka: cache error: key 2,1 / 1,1,1: served value {problem}\n"
+    assert err == f"kostka: cache error: {message.format(path=path)}\n"
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", [["compute", "--shape", "2,1", "--content", "1,1,1"],
+                                     ["table", "--n", "3"],
+                                     ["bench", "--shape", "2,1", "--content", "1,1,1"]])
+def test_a_zero_value_from_the_engine_is_not_served(capsys, monkeypatch, command):
+    monkeypatch.setattr(kostka.cli, "kostka", lambda *args: ZERO)
+    code, out, err = run(capsys, *command)
+    assert code == 2 and out == ""
+    assert err.endswith("served value is zero for a dominating pair\n")
+
+
+@pytest.mark.parametrize("value, problem", [
+    # each would be served as a child of the parent pair 3,2 / 2,1,1,1
+    ("", "zero value for dominating pair"),
+    ("1:-1,1", "negative coefficient"),
+    ('[[1,"-1"],[2,"1"]]', "negative coefficient"),
+])
+@pytest.mark.parametrize("command", [["compute", "--shape", "2,1", "--content", "1,1,1"],
+                                     ["compute", "--shape", "3,2", "--content", "2,1,1,1"],
+                                     ["table", "--n", "3"]])
+def test_memo_value_that_would_corrupt_its_parents_is_refused(capsys, tmp_path, value,
+                                                               problem, command):
+    path = tmp_path / "memo.tsv"
+    path.write_text(f"2,1\t1,1,1\t{value}\n")
+    before = path.read_bytes()
+    code, out, err = run(capsys, *command, "--cache", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"kostka: cache error: {path}: line 1: key 2,1 / 1,1,1: {problem}\n"
     assert path.read_bytes() == before
 
 

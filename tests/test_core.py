@@ -17,7 +17,6 @@ from kostka.core import (
     KostkaCache,
     PreconditionViolated,
     kostka,
-    kostka_auto,
     kostka_column,
     kostka_hook,
     kostka_one_row,
@@ -261,7 +260,7 @@ def test_kostka_column_matches_factorial_division():
 
 # --- dispatch ---
 
-def test_kostka_auto_is_flag_independent():
+def test_kostka_is_flag_independent():
     pairs = [
         ((6, 4, 3, 2), (3,) + (1,) * 12),
         ((3, 2, 1), (2, 2, 1, 1)),
@@ -271,30 +270,39 @@ def test_kostka_auto_is_flag_independent():
         ((2, 1), (3,)),
     ]
     for shape, content in pairs:
-        none = kostka_auto(shape, content, KostkaCache(), fast_paths=frozenset())
-        every = kostka_auto(shape, content, KostkaCache(), fast_paths=ALL_FAST_PATHS)
+        none = kostka(shape, content, KostkaCache(), fast_paths=frozenset())
+        every = kostka(shape, content, KostkaCache(), fast_paths=ALL_FAST_PATHS)
         assert none == every
         for name in ALL_FAST_PATHS:
-            only = kostka_auto(shape, content, KostkaCache(), fast_paths=frozenset({name}))
+            only = kostka(shape, content, KostkaCache(), fast_paths=frozenset({name}))
             assert only == none
 
 
-def test_kostka_auto_dispatch_audit():
+def test_kostka_dispatch_audit():
     audit = {}
-    kostka_auto((4,), (2, 1, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
+    kostka((4,), (2, 1, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
     assert audit["path"] == "one-row"
-    kostka_auto((3, 1), (1, 1, 1, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
+    kostka((3, 1), (1, 1, 1, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
     assert audit["path"] == "column"
-    kostka_auto((3, 1, 1), (2, 2, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
+    kostka((3, 1, 1), (2, 2, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
     assert audit["path"] == "hook"
-    kostka_auto((3, 2, 1), (2, 2, 1, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
+    kostka((3, 2, 1), (2, 2, 1, 1), fast_paths=ALL_FAST_PATHS, audit=audit)
     assert audit["path"] == "recursion"
-    kostka_auto((2, 1), (3,), fast_paths=ALL_FAST_PATHS, audit=audit)
+    kostka((2, 1), (3,), fast_paths=ALL_FAST_PATHS, audit=audit)
     assert audit["path"] == "vanishing"
-    kostka_auto((2, 2), (2, 2), fast_paths=ALL_FAST_PATHS, audit=audit)
+    kostka((2, 2), (2, 2), fast_paths=ALL_FAST_PATHS, audit=audit)
     assert audit["path"] == "empty"
     # one-row flag applies to the prefix-reduced pair
-    assert kostka_auto((4,), (2, 1, 1), fast_paths=frozenset({"one-row"})) == TPoly({3: 1})
+    assert kostka((4,), (2, 1, 1), fast_paths=frozenset({"one-row"})) == TPoly({3: 1})
+    # the default takes no fast path
+    assert kostka((3, 1, 1), (2, 2, 1), audit=audit) == kostka_hook(5, 2, (2, 2, 1))
+    assert audit["path"] == "recursion"
+    # a pair that does not dominate, before or after prefix reduction, is not looked up
+    cache = KostkaCache()
+    assert kostka((2, 1), (3,), cache, audit=audit) == ZERO
+    assert audit["path"] == "vanishing"
+    assert kostka((3, 1, 1), (3, 2), cache) == ZERO
+    assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
 
 
 def _reference_dispatch(shape, content, fast_paths, cache):
@@ -313,14 +321,14 @@ def _reference_dispatch(shape, content, fast_paths, cache):
     return "recursion", kostka(s, c, cache)
 
 
-def test_kostka_auto_routes_like_the_full_scan_predicates():
+def test_kostka_routes_like_the_full_scan_predicates():
     # every pair with n <= 9, dominating or not, under every --fast-paths value
     pairs = [(s, c) for n in range(1, 10) for s in partitions_of(n) for c in partitions_of(n)]
     for name, fast_paths in FAST_PATHS.items():
         cache, reference_cache = KostkaCache(), KostkaCache()
         for shape, content in pairs:
             audit = {}
-            value = kostka_auto(shape, content, cache, fast_paths, audit)
+            value = kostka(shape, content, cache, fast_paths, audit)
             path, expected = _reference_dispatch(shape, content, fast_paths, reference_cache)
             assert (audit["path"], value) == (path, expected), (name, shape, content)
 
@@ -575,6 +583,10 @@ def test_a_save_that_cannot_open_its_file_reports_that_error(tmp_path):
         ("2,1\t3\t[[0,\"1\"]]", "non-dominating"),
         # a float exponent against a huge one overflows the span's subtraction
         ("2,1\t1,1,1\t[[1.5,\"1\"],[1" + "0" * 400 + ",\"1\"]]", "bad exponent 1.5"),
+        # a zero or negative child would make every parent that sums it wrong
+        ("2,1\t1,1,1\t[]", "key 2,1 / 1,1,1: zero value for dominating pair"),
+        ("2,1\t1,1,1\t[[1,\"-1\"],[2,\"1\"]]", "key 2,1 / 1,1,1: negative coefficient"),
+        ("2,1\t1,1,1\t[[1,\"1\"],[2,\"-1\"]]", "key 2,1 / 1,1,1: negative coefficient"),
     ],
 )
 def test_cache_load_rejects_corrupt_lines(tmp_path, line, fragment):
@@ -657,6 +669,9 @@ def test_a_json_memo_loads_like_its_dense_resave(tmp_path):
         ("2,2,1,1\t3,2,1\t1:1", "nonzero value for non-dominating pair"),
         ("2,2,1,1\t3,2,1\tgarbage", "nonzero value for non-dominating pair"),
         ("2,1\t1,1,1\t1:1,0,0,1", "exponents span 3, more than n(content) - n(shape) = 2"),
+        # the load's own rules on values the decoder accepts
+        ("2,1\t1,1,1\t", "zero value for dominating pair"),
+        ("2,1\t1,1,1\t1:-1,1", "negative coefficient"),
     ],
 )
 def test_cache_load_rejects_bad_dense_fields(tmp_path, line, problem):
