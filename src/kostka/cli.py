@@ -8,7 +8,6 @@ a served value that no Kostka-Foulkes polynomial has).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -212,25 +211,24 @@ def _render_poly(value: TPoly, fmt: str) -> str:
     return value.plain_str()
 
 
+_ROWS = {"plain": lambda s, c, p: f"{s}\t{c}\t{p}\n",
+         "csv": lambda s, c, p: f"{s},{c},{p}\n",
+         "latex": lambda s, c, p: f"{s} & {c} & {p} \\\\\n",
+         "json": lambda s, c, p: f'{{"shape": {s}, "content": {c}, "polynomial": {p}}}\n'}
+
+
 def _print_rows(pairs: list[tuple[Partition, Partition]], values: list[TPoly], fmt: str) -> None:
     """One (shape, content, polynomial) row per pair; CSV comes with a header."""
+    # a table meets every partition of n many times, so each is named once;
+    # CSV quotes exactly the partitions with commas, as no other field holds one
+    distinct = set(chain.from_iterable(pairs))
+    names = {p: json.dumps(p) if fmt == "json" else format_partition(p) for p in distinct}
     if fmt == "csv":
-        # rows stream from a generator, and each distinct partition is
-        # formatted once: a table meets every partition of n many times
-        names = {p: format_partition(p) for p in set(chain.from_iterable(pairs))}
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["shape", "content", "polynomial"])
-        writer.writerows((names[s], names[c], v.plain_str()) for (s, c), v in zip(pairs, values))
-    elif fmt == "json":
-        for (s, c), v in zip(pairs, values):
-            print(json.dumps({"shape": list(s), "content": list(c),
-                              "polynomial": v.to_json_obj()}))
-    elif fmt == "latex":
-        for (s, c), v in zip(pairs, values):
-            print(f"{format_partition(s)} & {format_partition(c)} & {v.latex_str()} \\\\")
-    else:
-        for (s, c), v in zip(pairs, values):
-            print(f"{format_partition(s)}\t{format_partition(c)}\t{v.plain_str()}")
+        names = {p: f'"{text}"' if len(p) > 1 else text for p, text in names.items()}
+        sys.stdout.write("shape,content,polynomial\n")
+    row = _ROWS[fmt]
+    sys.stdout.writelines(row(names[s], names[c], _render_poly(v, fmt))
+                          for (s, c), v in zip(pairs, values))
 
 
 def cmd_compute(args: argparse.Namespace) -> int:

@@ -70,6 +70,17 @@ def test_compute_csv(capsys):
     ]
 
 
+@pytest.mark.parametrize("shape, content, row", [
+    ("-", "-", "-,-,1"),
+    ("2,1", "3", '"2,1",3,0'),
+])
+def test_compute_csv_edge_rows(capsys, shape, content, row):
+    code, out, _ = run(capsys, "compute", "--shape", shape, "--content", content,
+                       "--format", "csv")
+    assert code == 0
+    assert out == f"shape,content,polynomial\n{row}\n"
+
+
 def test_compute_bad_partition_exits_1(capsys):
     code, _, err = run(capsys, "compute", "--shape", "3,zebra,1", "--content", "2,2")
     assert code == 1
@@ -464,6 +475,38 @@ def test_table_csv_matches_one_writerow_per_row(capsys):
     assert '"6,1","6,1",1' in lines
 
 
+def _reference_table(n, fmt):
+    """The table built row by row, each row in its own format's terms."""
+    ps = list(partitions_of(n))
+    pairs = [(s, c) for s in ps for c in ps if dominates(s, c)]
+    buf = io.StringIO()
+    if fmt == "csv":
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["shape", "content", "polynomial"])
+    for s, c in pairs:
+        value = engine.kostka(s, c)
+        if fmt == "csv":
+            writer.writerow([format_partition(s), format_partition(c), value.plain_str()])
+        elif fmt == "plain":
+            buf.write("\t".join([format_partition(s), format_partition(c), value.plain_str()]))
+        elif fmt == "latex":
+            buf.write(" & ".join([format_partition(s), format_partition(c), value.latex_str()]))
+            buf.write(" \\\\")
+        else:
+            buf.write(json.dumps({"shape": list(s), "content": list(c),
+                                  "polynomial": value.to_json_obj()}))
+        if fmt != "csv":
+            buf.write("\n")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain", "json", "latex"])
+def test_table_matches_a_per_row_reference_in_every_format(capsys, fmt):
+    for n in range(1, 10):
+        code, out, _ = run(capsys, "table", "--n", str(n), "--format", fmt)
+        assert code == 0 and out == _reference_table(n, fmt), (n, fmt)
+
+
 @pytest.mark.parametrize("argv", [["table", "--n", "12"], ["verify", "--max-n", "8"]])
 def test_each_strip_fan_out_is_enumerated_once(capsys, monkeypatch, argv):
     requested, strips = [], Counter()
@@ -531,12 +574,16 @@ def test_a_reader_that_closes_early_gets_no_traceback(tmp_path):
     env = {k: v for k, v in os.environ.items() if k != "KOSTKA_CACHE"}
     memo = KostkaCache()
     headline = engine.kostka((6, 4, 3, 2), (3,) + (1,) * 12, memo)
-    for argv, first, entries in [
+    for i, (argv, first, entries) in enumerate([
         (["table", "--n", "14"], b"shape,content,polynomial\n", 9151),
+        (["table", "--n", "14", "--format", "plain"], b"14\t14\t1\n", 9151),
+        (["table", "--n", "14", "--format", "json"],
+         b'{"shape": [14], "content": [14], "polynomial": [[0, "1"]]}\n', 9151),
+        (["table", "--n", "14", "--format", "latex"], b"14 & 14 & 1 \\\\\n", 9151),
         (["compute", "--shape", "6,4,3,2", "--content", "3,1^12", "--dump-tableaux"],
          f"{headline}\n".encode(), len(memo)),
-    ]:
-        path = tmp_path / f"{argv[0]}.tsv"
+    ]):
+        path = tmp_path / f"{i}.tsv"
         proc = subprocess.Popen([sys.executable, "-m", "kostka.cli", *argv, "--cache", str(path)],
                                 cwd=src, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         assert proc.stdout.readline() == first
