@@ -8,11 +8,12 @@ a served value that no Kostka-Foulkes polynomial has).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from itertools import chain
+from collections.abc import Iterable, Iterator
 from math import prod
 
 from .core import (
@@ -136,6 +137,9 @@ def _check_cache_path(path: str | None) -> None:
         return
     if os.path.isdir(path):
         raise CachePathError("is a directory")
+    # a FIFO would block the load, and a save replaces a device with a file
+    if os.path.exists(path) and not os.path.isfile(path):
+        raise CachePathError("is not a regular file")
     parent = os.path.dirname(path)
     if parent and not os.path.isdir(parent):
         raise CachePathError(f"directory {parent!r} does not exist")
@@ -168,7 +172,7 @@ def _save_cache(cache: KostkaCache, path: str | None, loaded: int | None) -> Non
 
 
 def _compute_pairs(
-    pairs: list[tuple[Partition, Partition]],
+    pairs: Iterable[tuple[Partition, Partition]],
     cache: KostkaCache,
     fast_paths: frozenset[str] = frozenset(),
 ) -> list[TPoly]:
@@ -176,7 +180,7 @@ def _compute_pairs(
     return [kostka(s, c, cache, fast_paths) for s, c in pairs]
 
 
-def _check_served(pairs: list[tuple[Partition, Partition]], values: list[TPoly]) -> None:
+def _check_served(rows: Iterable[tuple[Partition, Partition, TPoly]]) -> None:
     """Refuse a value that no Kostka-Foulkes polynomial has, before it is saved or printed.
 
     A dominating pair's value is monic of degree n(content) - n(shape).  The
@@ -184,11 +188,11 @@ def _check_served(pairs: list[tuple[Partition, Partition]], values: list[TPoly])
     must still meet a wrong value and report it, so a wrong memo line can
     reach here.
     """
-    sizes = {p: weighted_size(p) for p in set(chain.from_iterable(pairs))}
-    for (s, c), v in zip(pairs, values):
+    size = functools.cache(weighted_size)  # a table meets each partition many times
+    for s, c, v in rows:
         if v:
             degree, top = v.leading_term()
-            expected = sizes[c] - sizes[s]
+            expected = size(c) - size(s)
             if degree != expected:
                 problem = f"has degree {degree}, not n(content) - n(shape) = {expected}"
             elif top != 1:
@@ -217,27 +221,30 @@ _ROWS = {"plain": lambda s, c, p: f"{s}\t{c}\t{p}\n",
          "json": lambda s, c, p: f'{{"shape": {s}, "content": {c}, "polynomial": {p}}}\n'}
 
 
-def _print_rows(pairs: list[tuple[Partition, Partition]], values: list[TPoly], fmt: str) -> None:
-    """One (shape, content, polynomial) row per pair; CSV comes with a header."""
-    # a table meets every partition of n many times, so each is named once;
+def _print_rows(rows: Iterable[tuple[Partition, Partition, TPoly]],
+                partitions: Iterable[Partition], fmt: str) -> None:
+    """One (shape, content, polynomial) line per row; CSV comes with a header.
+
+    `partitions` holds every shape and content of the rows, and each is
+    named once, as a table meets every partition of n many times.  The rows
+    are read once, each as it is written.
+    """
     # CSV quotes exactly the partitions with commas, as no other field holds one
-    distinct = set(chain.from_iterable(pairs))
-    names = {p: json.dumps(p) if fmt == "json" else format_partition(p) for p in distinct}
+    names = {p: json.dumps(p) if fmt == "json" else format_partition(p) for p in partitions}
     if fmt == "csv":
         names = {p: f'"{text}"' if len(p) > 1 else text for p, text in names.items()}
         sys.stdout.write("shape,content,polynomial\n")
     row = _ROWS[fmt]
-    sys.stdout.writelines(row(names[s], names[c], _render_poly(v, fmt))
-                          for (s, c), v in zip(pairs, values))
+    sys.stdout.writelines(row(names[s], names[c], _render_poly(v, fmt)) for s, c, v in rows)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
     cache, loaded = _load_cache(args.cache)
     value = kostka(args.shape, args.content, cache, FAST_PATHS[args.fast_paths])
-    _check_served([(args.shape, args.content)], [value])
+    _check_served([(args.shape, args.content, value)])
     _save_cache(cache, args.cache, loaded)
     if args.format == "csv":
-        _print_rows([(args.shape, args.content)], [value], "csv")
+        _print_rows([(args.shape, args.content, value)], (args.shape, args.content), "csv")
     else:
         print(_render_poly(value, args.format))
     if args.dump_tableaux:
@@ -249,13 +256,23 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     shapes = list(partitions_of(args.n))
-    # dominance implies the lexicographic order, in which the shapes decrease
-    pairs = [(s, c) for i, s in enumerate(shapes) for c in shapes[i:] if dominates(s, c)]
+    # dominance implies the lexicographic order, in which the shapes decrease;
+    # each shape keeps the contents it dominates, and every phase walks the
+    # pairs from these lists rather than holding one tuple per row
+    dominated = [[c for c in shapes[i:] if dominates(s, c)] for i, s in enumerate(shapes)]
+
+    def pairs() -> Iterator[tuple[Partition, Partition]]:
+        return ((s, c) for s, contents in zip(shapes, dominated) for c in contents)
+
     cache, loaded = _load_cache(args.cache)
-    values = _compute_pairs(pairs, cache, FAST_PATHS[args.fast_paths])
-    _check_served(pairs, values)
+    values = _compute_pairs(pairs(), cache, FAST_PATHS[args.fast_paths])
+    _check_served((s, c, v) for (s, c), v in zip(pairs(), values))
     _save_cache(cache, args.cache, loaded)
-    _print_rows(pairs, values, args.format)
+    # the memo is not needed past its save: only the rows' own values outlive it,
+    # and each of those is dropped as its row is written
+    del cache
+    values.reverse()
+    _print_rows(((s, c, values.pop()) for s, c in pairs()), shapes, args.format)
     return 0
 
 
@@ -321,7 +338,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     value = kostka(shape, content, cache)
     recursion_s = time.perf_counter() - t0
-    _check_served([(shape, content)], [value])
+    _check_served([(shape, content, value)])
     _save_cache(cache, args.cache, loaded)
     print(f"shape: {format_partition(shape)}")
     print(f"content: {format_partition(content)}")
