@@ -255,14 +255,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    # dominance implies the lexicographic order, in which the shapes decrease,
+    # so a row pairs a shape with itself or a later one, and `kostka` zeroes the rest
     shapes = list(partitions_of(args.n))
-    # dominance implies the lexicographic order, in which the shapes decrease;
-    # each shape keeps the contents it dominates, and every phase walks the
-    # pairs from these lists rather than holding one tuple per row
-    dominated = [[c for c in shapes[i:] if dominates(s, c)] for i, s in enumerate(shapes)]
 
     def pairs() -> Iterator[tuple[Partition, Partition]]:
-        return ((s, c) for s, contents in zip(shapes, dominated) for c in contents)
+        return ((s, c) for i, s in enumerate(shapes) for c in shapes[i:])
 
     cache, loaded = _load_cache(args.cache)
     values = _compute_pairs(pairs(), cache, FAST_PATHS[args.fast_paths])
@@ -272,7 +270,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     # and each of those is dropped as its row is written
     del cache
     values.reverse()
-    _print_rows(((s, c, values.pop()) for s, c in pairs()), shapes, args.format)
+    _print_rows(((s, c, v) for s, c in pairs() if (v := values.pop())), shapes, args.format)
     return 0
 
 

@@ -106,10 +106,11 @@ class KostkaCache:
     def save(self, path: str) -> None:
         """One record per line: shape TAB content TAB the value's dense text.
 
-        The records go to a temporary file in the directory of `path`, under
-        a short name of its own, that then replaces it, so an interrupted
-        save, or a crash, leaves the old file whole.
+        The records go to a temporary file beside the file that `path` names
+        through any symbolic links, which then replaces that file, so a crash
+        leaves the old file whole and a link keeps pointing at it.
         """
+        path = os.path.realpath(path)
         tmp, fd = _create_beside(path)
         try:
             with open(fd, "w", encoding="utf-8") as fh:

@@ -224,6 +224,47 @@ def test_memo_name_of_240_bytes_is_saved(capsys, tmp_path):
     assert os.listdir(tmp_path) == [path.name]
 
 
+@pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "relative"])
+def test_memo_link_keeps_pointing_at_the_file_it_names(capsys, tmp_path, monkeypatch, absolute):
+    store = tmp_path / "store"
+    store.mkdir()
+    real = store / "real.tsv"
+    run(capsys, "compute", "--shape", "2,1", "--content", "1,1,1", "--cache", str(real))
+    link = tmp_path / "link.tsv"
+    link.symlink_to(real if absolute else os.path.join("store", "real.tsv"))
+    # a relative link names a file from its own directory, not the working one
+    monkeypatch.chdir(store)
+    code, out, err = run(capsys, "compute", "--shape", "3,2", "--content", "2,1,1,1",
+                         "--cache", str(link))
+    assert (code, out, err) == (0, "t^2 + t^3 + t^4\n", "")
+    assert link.is_symlink() and link.resolve() == real
+    memo = KostkaCache.load(str(real))
+    assert memo.get((2, 1), (1, 1, 1)) == TPoly({1: 1, 2: 1})
+    assert memo.get((3, 2), (2, 1, 1, 1)) == TPoly({2: 1, 3: 1, 4: 1})
+    # the temporary file was made beside the target, and renamed over it
+    assert os.listdir(store) == ["real.tsv"]
+
+
+def test_dangling_memo_link_is_saved_through_or_left_as_it_was(capsys, tmp_path):
+    (tmp_path / "store").mkdir()
+    link = tmp_path / "new.tsv"
+    link.symlink_to(os.path.join("store", "new.tsv"))
+    code, out, err = run(capsys, "compute", "--shape", "2,1", "--content", "1,1,1",
+                         "--cache", str(link))
+    assert (code, out, err) == (0, "t + t^2\n", "")
+    assert link.is_symlink()
+    assert KostkaCache.load(str(tmp_path / "store" / "new.tsv")).get((2, 1), (1, 1, 1))
+    # a link into a missing directory is met at the save, which cannot create the file
+    dangling = tmp_path / "dang.tsv"
+    dangling.symlink_to(os.path.join("nowhere", "x.tsv"))
+    code, out, err = run(capsys, "compute", "--shape", "2,1", "--content", "1,1,1",
+                         "--cache", str(dangling))
+    assert (code, out) == (1, "")
+    assert err == f"kostka: error: --cache {str(dangling)!r}: {os.strerror(errno.ENOENT)}\n"
+    assert os.readlink(dangling) == os.path.join("nowhere", "x.tsv")
+    assert sorted(os.listdir(tmp_path)) == ["dang.tsv", "new.tsv", "store"]
+
+
 def test_env_var_overrides_cache_flag(capsys, tmp_path, monkeypatch):
     env_path = tmp_path / "env.tsv"
     flag_path = tmp_path / "flag.tsv"
@@ -476,6 +517,40 @@ def test_table_row_count_is_dominating_pair_count(capsys):
     code, out, _ = run(capsys, "table", "--n", "6")
     assert code == 0
     assert len(out.splitlines()) == expected + 1  # header
+
+
+def test_table_leaves_every_dominance_test_to_the_engine(capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(shape, content):
+        calls[sys._getframe(1).f_code.co_name] += 1
+        return dominates(shape, content)
+
+    monkeypatch.setattr(engine, "dominates", counted)
+    monkeypatch.setattr(kostka.cli, "dominates", counted)
+    code, out, _ = run(capsys, "table", "--n", "10")
+    assert code == 0
+    # the table evaluates each shape with itself and every later shape
+    shapes = len(list(partitions_of(10)))
+    pairs = shapes * (shapes + 1) // 2
+    rows = len(out.splitlines()) - 1  # header
+    assert set(calls) == {"kostka", "_iterate", "_check_served"}
+    assert calls["kostka"] == pairs == 903  # once per pair, on the reduced pair
+    assert calls["_check_served"] == pairs - rows == 85  # once per zero value
+
+
+def test_warm_table_with_a_memo_zero_for_a_vanishing_pair(capsys, tmp_path):
+    # 3,1,1,1 precedes 2,2,2 lexicographically but does not dominate it, so the
+    # table asks the engine for the pair, and the load accepts a zero for it
+    assert not dominates((3, 1, 1, 1), (2, 2, 2))
+    code, cold, _ = run(capsys, "table", "--n", "6")
+    assert code == 0
+    path = tmp_path / "memo.tsv"
+    path.write_text("3,1,1,1\t2,2,2\t\n")
+    code, warm, err = run(capsys, "table", "--n", "6", "--cache", str(path))
+    assert (code, warm, err) == (0, cold, "")
+    lines = path.read_text().splitlines()
+    assert len(lines) > 1 and "3,1,1,1\t2,2,2\t" in lines
 
 
 def test_table_csv_matches_one_writerow_per_row(capsys):
