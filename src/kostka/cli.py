@@ -8,6 +8,7 @@ a served value that no Kostka-Foulkes polynomial has).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -127,36 +128,38 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _check_cache_path(path: str | None) -> None:
-    """Refuse a `path` that cannot hold a memo file; an unset one passes.
+def _load_cache(path: str | None) -> tuple[KostkaCache, str | None, int | None]:
+    """The memo persisted at `path`, the file its save writes, and its size when it existed.
 
-    Checked before any computation, so a path that is plainly wrong costs no
-    work.  Faults only the file system reports reach the load or the save.
+    `path` is resolved through its symbolic links once, and a path that cannot
+    hold a memo file is refused here, before any computation, so a path that
+    is plainly wrong costs no work.  Faults only the file system reports reach
+    the load or the save.  The load reads `path` as typed, so its errors name it.
     """
     if not path:
-        return
-    if os.path.isdir(path):
+        return KostkaCache(), None, None
+    target = os.path.realpath(path)
+    # realpath leaves a link in its result only inside a loop
+    if os.path.islink(target):
+        raise CachePathError(os.strerror(errno.ELOOP))
+    if os.path.isdir(target):
         raise CachePathError("is a directory")
-    # a FIFO would block the load, and a save replaces a device with a file
-    if os.path.exists(path) and not os.path.isfile(path):
-        raise CachePathError("is not a regular file")
-    parent = os.path.dirname(path)
-    if parent and not os.path.isdir(parent):
-        raise CachePathError(f"directory {parent!r} does not exist")
-
-
-def _load_cache(path: str | None) -> tuple[KostkaCache, int | None]:
-    """The memo persisted at `path`, and its size when the file existed."""
-    if path and os.path.exists(path):
+    if os.path.isfile(target):
         try:
             cache = KostkaCache.load(path)
         except OSError as exc:
             raise CachePathError(exc.strerror or exc) from exc
-        return cache, len(cache)
-    return KostkaCache(), None
+        return cache, target, len(cache)
+    # a FIFO would block the load, and a save replaces a device with a file
+    if os.path.exists(target):
+        raise CachePathError("is not a regular file")
+    parent = os.path.dirname(target)
+    if not os.path.isdir(parent):
+        raise CachePathError(f"directory {parent!r} does not exist")
+    return KostkaCache(), target, None
 
 
-def _save_cache(cache: KostkaCache, path: str | None, loaded: int | None) -> None:
+def _save_cache(cache: KostkaCache, target: str | None, loaded: int | None) -> None:
     """Persist the memo unless it holds just what its existing file held.
 
     Entries are write-once and never dropped, so an unchanged size means
@@ -164,9 +167,9 @@ def _save_cache(cache: KostkaCache, path: str | None, loaded: int | None) -> Non
     though not necessarily its bytes: a memo read from JSON values is written
     back as dense text.
     """
-    if path and len(cache) != loaded:
+    if target and len(cache) != loaded:
         try:
-            cache.save(path)
+            cache.save(target)
         except OSError as exc:
             raise CachePathError(exc.strerror or exc) from exc
 
@@ -239,10 +242,10 @@ def _print_rows(rows: Iterable[tuple[Partition, Partition, TPoly]],
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    cache, loaded = _load_cache(args.cache)
+    cache, target, loaded = _load_cache(args.cache)
     value = kostka(args.shape, args.content, cache, FAST_PATHS[args.fast_paths])
     _check_served([(args.shape, args.content, value)])
-    _save_cache(cache, args.cache, loaded)
+    _save_cache(cache, target, loaded)
     if args.format == "csv":
         _print_rows([(args.shape, args.content, value)], (args.shape, args.content), "csv")
     else:
@@ -255,6 +258,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    cache, target, loaded = _load_cache(args.cache)
     # dominance implies the lexicographic order, in which the shapes decrease,
     # so a row pairs a shape with itself or a later one, and `kostka` zeroes the rest
     shapes = list(partitions_of(args.n))
@@ -262,10 +266,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     def pairs() -> Iterator[tuple[Partition, Partition]]:
         return ((s, c) for i, s in enumerate(shapes) for c in shapes[i:])
 
-    cache, loaded = _load_cache(args.cache)
     values = _compute_pairs(pairs(), cache, FAST_PATHS[args.fast_paths])
     _check_served((s, c, v) for (s, c), v in zip(pairs(), values))
-    _save_cache(cache, args.cache, loaded)
+    _save_cache(cache, target, loaded)
     # the memo is not needed past its save: only the rows' own values outlive it,
     # and each of those is dropped as its row is written
     del cache
@@ -285,7 +288,8 @@ def _column_reference(shape: Partition) -> TPoly:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cache, _ = _load_cache(args.cache)
+    cache = _load_cache(args.cache)[0]
+    counts: dict[tuple[Partition, Partition], int] = {}  # one tableau-count table for the sweep
     mismatches: list[tuple[Partition, Partition, str, str, str]] = []
 
     def record(s, c, got, expected, oracle):
@@ -307,7 +311,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 words = charge_by_tableaux(s, c)
                 if chg != words:
                     record(s, c, chg, words, "charge-tableaux")
-            count = kostka_number(s, c)
+            count = kostka_number(s, c, counts)
             if r.evaluate(1) != count:
                 record(s, c, r.evaluate(1), count, "ssyt-count")
             if len(s) == 1:
@@ -332,12 +336,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     shape, content = args.shape, args.content
     fast_paths = FAST_PATHS[args.fast_paths]
-    cache, loaded = _load_cache(args.cache)
+    cache, target, loaded = _load_cache(args.cache)
     t0 = time.perf_counter()
     value = kostka(shape, content, cache)
     recursion_s = time.perf_counter() - t0
     _check_served([(shape, content, value)])
-    _save_cache(cache, args.cache, loaded)
+    _save_cache(cache, target, loaded)
     print(f"shape: {format_partition(shape)}")
     print(f"content: {format_partition(content)}")
     print(f"recursion: {recursion_s * 1000:.3f} ms "
@@ -388,7 +392,6 @@ def main(argv: list[str] | None = None) -> int:
     command = {"compute": cmd_compute, "table": cmd_table, "verify": cmd_verify,
                "bench": cmd_bench}[args.command]
     try:
-        _check_cache_path(args.cache)
         status = command(args)
         # flushed here, so a reader that closes stdout early is met in this try
         sys.stdout.flush()

@@ -106,11 +106,11 @@ class KostkaCache:
     def save(self, path: str) -> None:
         """One record per line: shape TAB content TAB the value's dense text.
 
-        The records go to a temporary file beside the file that `path` names
-        through any symbolic links, which then replaces that file, so a crash
-        leaves the old file whole and a link keeps pointing at it.
+        The records go to a temporary file beside `path`, which then replaces
+        it, so a crash leaves the old file whole.  `path` is written as given:
+        a symbolic link there is replaced, so a caller that keeps a link passes
+        the file it resolves to.
         """
-        path = os.path.realpath(path)
         tmp, fd = _create_beside(path)
         try:
             with open(fd, "w", encoding="utf-8") as fh:

@@ -19,7 +19,6 @@ explicit lists, so none meets a recursion limit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import add
 
@@ -199,17 +198,21 @@ def charge_polynomials(content: Partition,
     return {shape: sum(subwords.values(), ZERO) for shape, subwords in states.items()}
 
 
-def kostka_number(shape: Partition, content: Partition) -> int:
+def kostka_number(shape: Partition, content: Partition,
+                  counts: dict[tuple[Partition, Partition], int] | None = None) -> int:
     """Tableau count by peeling one letter at a time; no tableau is built.
 
     The count of (shape, content) is the sum of the counts of (inner, content
     minus its last part) over the inner shapes that a horizontal strip of
     the last letter leaves.  A depth-first walk on an explicit stack fills
-    in the counts, which `_peel_counts` shares across calls.
+    in `counts`, which a caller passes to share them across calls; by
+    default each call fills a table of its own.
     """
     if weight(shape) != weight(content):
         return 0
-    counts = _peel_counts()
+    if counts is None:
+        counts = {}
+    counts[((), ())] = 1  # peeling keeps weights equal, so only () meets an empty content
     root = (shape, content)
     stack: list[tuple[tuple[Partition, Partition], list | None]] = [(root, None)]
     while stack:
@@ -223,13 +226,6 @@ def kostka_number(shape: Partition, content: Partition) -> int:
             stack.append((key, inners))
             stack += [(k, None) for k in inners if k not in counts]
     return counts[root]
-
-
-@lru_cache(maxsize=1)
-def _peel_counts() -> dict[tuple[Partition, Partition], int]:
-    # one dict for the process; cache_clear() starts a new one.  Weights stay
-    # equal while peeling, so an empty content is reached only with an empty shape
-    return {((), ()): 1}
 
 
 def _strip_removals(shape: Partition, m: int) -> list[Partition]:

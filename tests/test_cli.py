@@ -245,7 +245,7 @@ def test_memo_link_keeps_pointing_at_the_file_it_names(capsys, tmp_path, monkeyp
     assert os.listdir(store) == ["real.tsv"]
 
 
-def test_dangling_memo_link_is_saved_through_or_left_as_it_was(capsys, tmp_path):
+def test_dangling_memo_link_is_saved_through_or_left_as_it_was(capsys, tmp_path, monkeypatch):
     (tmp_path / "store").mkdir()
     link = tmp_path / "new.tsv"
     link.symlink_to(os.path.join("store", "new.tsv"))
@@ -254,13 +254,16 @@ def test_dangling_memo_link_is_saved_through_or_left_as_it_was(capsys, tmp_path)
     assert (code, out, err) == (0, "t + t^2\n", "")
     assert link.is_symlink()
     assert KostkaCache.load(str(tmp_path / "store" / "new.tsv")).get((2, 1), (1, 1, 1))
-    # a link into a missing directory is met at the save, which cannot create the file
+    # a link into a missing directory is refused before any work, as the save could not create it
+    _refuse_to_compute(monkeypatch)
     dangling = tmp_path / "dang.tsv"
     dangling.symlink_to(os.path.join("nowhere", "x.tsv"))
     code, out, err = run(capsys, "compute", "--shape", "2,1", "--content", "1,1,1",
                          "--cache", str(dangling))
     assert (code, out) == (1, "")
-    assert err == f"kostka: error: --cache {str(dangling)!r}: {os.strerror(errno.ENOENT)}\n"
+    nowhere = os.path.realpath(tmp_path / "nowhere")
+    assert err == (f"kostka: error: --cache {str(dangling)!r}: "
+                   f"directory {nowhere!r} does not exist\n")
     assert os.readlink(dangling) == os.path.join("nowhere", "x.tsv")
     assert sorted(os.listdir(tmp_path)) == ["dang.tsv", "new.tsv", "store"]
 
@@ -284,8 +287,34 @@ def _refuse_to_compute(monkeypatch):
 
 
 @pytest.mark.parametrize("via_env", [False, True])
+@pytest.mark.parametrize("command", [["compute", "--shape", "2,1", "--content", "1,1,1"],
+                                     ["verify", "--max-n", "3"]])
+@pytest.mark.parametrize("links", [{"loop.tsv": "loop.tsv"},
+                                   {"loop.tsv": "other.tsv", "other.tsv": "loop.tsv"}],
+                         ids=["self", "two-links"])
+def test_memo_link_loop_is_refused_first(capsys, tmp_path, monkeypatch, via_env, command, links):
+    monkeypatch.chdir(tmp_path)
+    for name, points_to in links.items():
+        os.symlink(points_to, name)
+    _refuse_to_compute(monkeypatch)
+    argv = list(command)
+    if via_env:
+        monkeypatch.setenv("KOSTKA_CACHE", "loop.tsv")
+    else:
+        argv += ["--cache", "loop.tsv"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    source = "KOSTKA_CACHE" if via_env else "--cache"
+    assert err == f"kostka: error: {source} 'loop.tsv': {os.strerror(errno.ELOOP)}\n"
+    assert {name: os.readlink(name) for name in links} == links
+    assert sorted(os.listdir(tmp_path)) == sorted(links)
+
+
+@pytest.mark.parametrize("via_env", [False, True])
 @pytest.mark.parametrize("command", [["compute", "--shape", "1", "--content", "1"],
-                                     ["table", "--n", "3"]])
+                                     ["table", "--n", "3"],
+                                     ["verify", "--max-n", "3"],
+                                     ["bench", "--shape", "1", "--content", "1"]])
 def test_cache_path_that_cannot_hold_a_memo_is_refused_first(capsys, tmp_path, monkeypatch,
                                                               via_env, command):
     _refuse_to_compute(monkeypatch)
@@ -320,7 +349,7 @@ def test_cache_path_that_is_not_a_regular_file_is_refused_first(tmp_path):
     # a save would replace a character device with a regular file; checked
     # directly, as the CLI is never pointed at one
     with pytest.raises(kostka.cli.CachePathError, match="is not a regular file"):
-        kostka.cli._check_cache_path(os.devnull)
+        kostka.cli._load_cache(os.devnull)
 
 
 def test_cache_file_that_is_not_utf8_names_the_file_and_line(capsys, tmp_path):

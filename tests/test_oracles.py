@@ -362,12 +362,24 @@ def test_kostka_number_vanishes_with_dominance():
                 assert (kostka_number(shape, content) > 0) == dominates(shape, content)
 
 
-def test_kostka_number_counts_are_shared_until_cleared():
-    kostka.oracles._peel_counts.cache_clear()
-    assert kostka_number((3, 2, 1), (2, 2, 1, 1)) == 4
-    counts = kostka.oracles._peel_counts()
-    assert ((3, 2, 1), (2, 2, 1, 1)) in counts
-    assert kostka_number((3, 2, 1), (2, 2, 1, 1)) == 4
-    assert kostka.oracles._peel_counts() is counts
-    kostka.oracles._peel_counts.cache_clear()
-    assert ((3, 2, 1), (2, 2, 1, 1)) not in kostka.oracles._peel_counts()
+def test_kostka_number_shares_only_the_counts_it_is_passed():
+    counts = {}
+    assert kostka_number((3, 2, 1), (2, 2, 1, 1), counts) == 4
+    assert counts[(3, 2, 1), (2, 2, 1, 1)] == 4
+    filled = dict(counts)
+    assert kostka_number((3, 2, 1), (2, 2, 1, 1), counts) == 4
+    assert kostka_number((3, 2), (2, 2, 1), counts) == 2
+    assert counts.items() >= filled.items()
+    # a count already in the table is read, not recomputed
+    counts[(4, 2), (3, 3)] = 99
+    assert kostka_number((4, 2), (3, 3), counts) == 99
+    # the default fills a table of its own, and the module keeps none
+    assert kostka_number((4, 2), (3, 3)) == 1
+
+    def tables():
+        return {k: len(v) for k, v in vars(kostka.oracles).items() if isinstance(v, dict)}
+
+    before = tables()
+    assert kostka_number((6, 4, 3, 2), (3,) + (1,) * 12) == 35035
+    assert tables() == before
+    assert not any(hasattr(v, "cache_clear") for v in vars(kostka.oracles).values())
