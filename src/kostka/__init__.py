@@ -32,7 +32,6 @@ from .partitions import (
     hook_lengths,
     horizontal_strip_additions,
     parse_partition,
-    partition,
     partitions_of,
     tail,
     weight,

@@ -8,10 +8,10 @@ a served value that no Kostka-Foulkes polynomial has).
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import os
+import stat
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -139,24 +139,26 @@ def _load_cache(path: str | None) -> tuple[KostkaCache, str | None, int | None]:
     if not path:
         return KostkaCache(), None, None
     target = os.path.realpath(path)
-    # realpath leaves a link in its result only inside a loop
-    if os.path.islink(target):
-        raise CachePathError(os.strerror(errno.ELOOP))
-    if os.path.isdir(target):
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        parent = os.path.dirname(target)
+        if not os.path.isdir(parent):
+            raise CachePathError(f"directory {parent!r} does not exist") from None
+        return KostkaCache(), target, None
+    except OSError as exc:
+        # realpath keeps a looping link, and a file used as a directory, for stat to name
+        raise CachePathError(exc.strerror or exc) from exc
+    if stat.S_ISDIR(mode):
         raise CachePathError("is a directory")
-    if os.path.isfile(target):
-        try:
-            cache = KostkaCache.load(path)
-        except OSError as exc:
-            raise CachePathError(exc.strerror or exc) from exc
-        return cache, target, len(cache)
     # a FIFO would block the load, and a save replaces a device with a file
-    if os.path.exists(target):
+    if not stat.S_ISREG(mode):
         raise CachePathError("is not a regular file")
-    parent = os.path.dirname(target)
-    if not os.path.isdir(parent):
-        raise CachePathError(f"directory {parent!r} does not exist")
-    return KostkaCache(), target, None
+    try:
+        cache = KostkaCache.load(path)
+    except OSError as exc:
+        raise CachePathError(exc.strerror or exc) from exc
+    return cache, target, len(cache)
 
 
 def _save_cache(cache: KostkaCache, target: str | None, loaded: int | None) -> None:

@@ -382,7 +382,7 @@ def _iterate(root: KostkaKey, cache: KostkaCache) -> TPoly:
 
 def kostka_one_row(content: Partition) -> TPoly:
     """Closed form for a one-row shape: a single power of t."""
-    return TPoly.term(1, weighted_size(content))
+    return ONE.shift(weighted_size(content))
 
 
 def kostka_hook(n: int, k: int, content: Partition) -> TPoly:

@@ -7,7 +7,7 @@ zeros, so they hash and compare structurally and can key memo tables directly.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from itertools import accumulate
 from operator import ge
 
@@ -16,19 +16,6 @@ Partition = tuple[int, ...]
 
 class PartitionParseError(ValueError):
     """A partition string could not be parsed; the message names the bad token."""
-
-
-def partition(parts: Iterable[int]) -> Partition:
-    """Normalize an iterable of parts: drop trailing zeros, check the invariants."""
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    for j, x in enumerate(p):
-        if x <= 0:
-            raise ValueError(f"part {x} at index {j} is not positive")
-        if j and p[j - 1] < x:
-            raise ValueError(f"parts not weakly decreasing at index {j}: {p[j - 1]} < {x}")
-    return p
 
 
 _TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?\Z")

@@ -28,13 +28,16 @@ from operator import itemgetter, sub
 class NotDivisible(ArithmeticError):
     """Polynomial division left a remainder where an exact quotient was required."""
 
+    fired = 0  # every instance counts itself as it is made, so every raise site is counted
 
-_not_divisible_count = 0
+    def __init__(self, *args: object) -> None:
+        super().__init__(*args)
+        NotDivisible.fired += 1
 
 
 def not_divisible_count() -> int:
     """How many times NotDivisible has fired since import (tripwire counter)."""
-    return _not_divisible_count
+    return NotDivisible.fired
 
 
 _BIG_ENDIAN = sys.byteorder == "big"
@@ -106,16 +109,6 @@ class TPoly:
             poly = _from_dense(dense, low)
         self._k, self._v, self._w, self._m = poly._k, poly._v, poly._w, poly._m
 
-    @classmethod
-    def term(cls, coefficient: int, exponent: int) -> "TPoly":
-        """The monomial coefficient * t**exponent."""
-        if exponent < 0:
-            raise ValueError(f"negative exponent {exponent}")
-        if not coefficient:
-            return ZERO
-        m = abs(coefficient)
-        return _new(coefficient, exponent, _width_for(m), m)
-
     def _repack(self, w: int) -> "TPoly":
         """The same value at slot width w >= the current one."""
         if w == self._w or not self._k:
@@ -126,12 +119,6 @@ class TPoly:
         i = e - self._v
         slots = _unpack(self._k, self._w)
         return slots[i] if 0 <= i < len(slots) else 0
-
-    def degree(self) -> int:
-        """Largest stored exponent; -1 for the zero polynomial."""
-        if not self._k:
-            return -1
-        return self._v + abs(self._k).bit_length() // self._w
 
     def leading_term(self) -> tuple[int, int]:
         """(degree, coefficient) of the highest term, read from the packed
@@ -438,7 +425,6 @@ def t_quotient(numer: Iterable[int], denom: Iterable[int]) -> TPoly:
     division, so every partial quotient is exact when the whole one is;
     anything left above the quotient's degree raises NotDivisible.
     """
-    global _not_divisible_count
     numer, denom = list(numer), list(denom)
     factors = numer + denom
     if min(factors, default=1) < 1:
@@ -462,7 +448,6 @@ def t_quotient(numer: Iterable[int], denom: Iterable[int]) -> TPoly:
             for r in range(min(b, top)):
                 p[r::b] = accumulate(p[r::b])
             if top < 1 or any(p[top:]):
-                _not_divisible_count += 1
                 raise NotDivisible(
                     f"1 - t^{b} does not divide the product of 1 - t^a over a in {numer}"
                 )
@@ -472,7 +457,6 @@ def t_quotient(numer: Iterable[int], denom: Iterable[int]) -> TPoly:
 
 def exact_divide(a: TPoly, b: TPoly) -> TPoly:
     """The quotient q with q * b == a exactly; raises NotDivisible otherwise."""
-    global _not_divisible_count
     if not b:
         raise ZeroDivisionError("division by the zero polynomial")
     if not a:
@@ -498,6 +482,5 @@ def exact_divide(a: TPoly, b: TPoly) -> TPoly:
                 rem[j] -= qc * d
         exact = exact and not any(rem[:db])
     if not exact:
-        _not_divisible_count += 1
         raise NotDivisible(f"({a}) is not divisible by ({b})")
     return _from_dense(q, a._v - b._v)

@@ -289,23 +289,26 @@ def _refuse_to_compute(monkeypatch):
 @pytest.mark.parametrize("via_env", [False, True])
 @pytest.mark.parametrize("command", [["compute", "--shape", "2,1", "--content", "1,1,1"],
                                      ["verify", "--max-n", "3"]])
-@pytest.mark.parametrize("links", [{"loop.tsv": "loop.tsv"},
-                                   {"loop.tsv": "other.tsv", "other.tsv": "loop.tsv"}],
-                         ids=["self", "two-links"])
-def test_memo_link_loop_is_refused_first(capsys, tmp_path, monkeypatch, via_env, command, links):
+@pytest.mark.parametrize("links, path", [({"loop.tsv": "loop.tsv"}, "loop.tsv"),
+                                         ({"loop.tsv": "other.tsv", "other.tsv": "loop.tsv"},
+                                          "loop.tsv"),
+                                         ({"loopdir": "loopdir"}, "loopdir/memo.tsv")],
+                         ids=["self", "two-links", "in-a-directory"])
+def test_memo_link_loop_is_refused_first(capsys, tmp_path, monkeypatch, via_env, command,
+                                         links, path):
     monkeypatch.chdir(tmp_path)
     for name, points_to in links.items():
         os.symlink(points_to, name)
     _refuse_to_compute(monkeypatch)
     argv = list(command)
     if via_env:
-        monkeypatch.setenv("KOSTKA_CACHE", "loop.tsv")
+        monkeypatch.setenv("KOSTKA_CACHE", path)
     else:
-        argv += ["--cache", "loop.tsv"]
+        argv += ["--cache", path]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     source = "KOSTKA_CACHE" if via_env else "--cache"
-    assert err == f"kostka: error: {source} 'loop.tsv': {os.strerror(errno.ELOOP)}\n"
+    assert err == f"kostka: error: {source} {path!r}: {os.strerror(errno.ELOOP)}\n"
     assert {name: os.readlink(name) for name in links} == links
     assert sorted(os.listdir(tmp_path)) == sorted(links)
 
@@ -319,7 +322,10 @@ def test_cache_path_that_cannot_hold_a_memo_is_refused_first(capsys, tmp_path, m
                                                               via_env, command):
     _refuse_to_compute(monkeypatch)
     missing = tmp_path / "missing" / "memo.tsv"
-    for path, problem in ((tmp_path, "is a directory"), (missing, "does not exist")):
+    plain = tmp_path / "plain.tsv"
+    plain.write_text("")
+    for path, problem in ((tmp_path, "is a directory"), (missing, "does not exist"),
+                          (plain / "memo.tsv", os.strerror(errno.ENOTDIR))):
         argv = list(command)
         if via_env:
             monkeypatch.setenv("KOSTKA_CACHE", str(path))
@@ -331,6 +337,7 @@ def test_cache_path_that_cannot_hold_a_memo_is_refused_first(capsys, tmp_path, m
         assert repr(str(path)) in err and problem in err
         assert "Traceback" not in err
     assert not missing.parent.exists()
+    assert plain.read_text() == ""
 
 
 def test_cache_path_that_is_not_a_regular_file_is_refused_first(tmp_path):

@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import kostka.oracles
 import kostka.partitions
-from kostka.core import kostka as engine, kostka_column
+import kostka.polynomials
+from kostka.core import KostkaCache, kostka as engine, kostka_column, recursion_children
 from kostka.oracles import (
     ContentMismatch,
     charge,
@@ -334,6 +335,35 @@ def test_charge_oracle_agrees_with_the_engine_past_64_bit_counts():
         assert value.evaluate(1).bit_length() == bits, shape
         assert max(c for _, c in value.items()).bit_length() == top, shape
         assert value == engine(shape, content) == kostka_column(shape), shape
+
+
+def test_charge_oracle_agrees_with_the_engine_past_64_bits_inside_a_deep_walk(monkeypatch):
+    # above, a content of 1s makes every child a column leaf, so only the
+    # root frame's sum crosses the 64-bit slot edge; here frames below the
+    # root cross it too, where signed branches cancel.  The root's children
+    # are computed first on a shared memo, so their slow-path sums count apart
+    shape, content = (8, 8, 6, 6, 4, 4, 2, 2), (2,) * 4 + (1,) * 32
+    exact_sum = kostka.polynomials._exact_sum
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return exact_sum(*args)
+
+    monkeypatch.setattr(kostka.polynomials, "_exact_sum", counting)
+    cache = KostkaCache()
+    for _, _, taus in recursion_children(shape, content[0]):
+        for tau in taus:
+            engine(tau, content[1:], cache)
+    assert calls[0], "no slow-path sum below the root"
+    assert engine(shape, content, cache) == kostka_via_charge(shape, content)
+
+
+@pytest.mark.slow
+def test_charge_oracle_agrees_with_the_engine_on_the_n_42_edge_pair():
+    # 13,693 slow-path sums and a 64-bit result, at 5-7 s for the engine
+    shape, content = (9, 8, 7, 6, 5, 4, 3), (2,) * 8 + (1,) * 26
+    assert engine(shape, content) == kostka_via_charge(shape, content)
 
 
 # --- peel count ---
