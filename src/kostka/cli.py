@@ -15,7 +15,6 @@ import stat
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from math import prod
 
 from .core import (
     ALL_FAST_PATHS,
@@ -23,8 +22,6 @@ from .core import (
     CacheFormatError,
     KostkaCache,
     kostka,
-    kostka_hook,
-    kostka_one_row,
 )
 from .oracles import (
     charge_by_tableaux,
@@ -36,16 +33,13 @@ from .oracles import (
 from .partitions import (
     Partition,
     PartitionParseError,
-    conjugate,
     dominates,
     format_partition,
-    hook_lengths,
     parse_partition,
     partitions_of,
-    weight,
     weighted_size,
 )
-from .polynomials import ONE, ZERO, TPoly, exact_divide, t_factorial, t_integer
+from .polynomials import ZERO, TPoly
 
 FORMATS = ("plain", "json", "csv", "latex")
 FAST_PATHS = {"none": frozenset(), "all": ALL_FAST_PATHS,
@@ -279,20 +273,11 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _column_reference(shape: Partition) -> TPoly:
-    """t^n(shape') [n]! / prod [h] by long division of a t-factorial.
-
-    The iteration finishes every column subproblem with `kostka_column`'s
-    cancelled quotient, so the column check compares against this instead.
-    """
-    hooks = prod(map(t_integer, hook_lengths(shape)), start=ONE)
-    return exact_divide(t_factorial(weight(shape)), hooks).shift(weighted_size(conjugate(shape)))
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cache = _load_cache(args.cache)[0]
     counts: dict[tuple[Partition, Partition], int] = {}  # one tableau-count table for the sweep
     mismatches: list[tuple[Partition, Partition, str, str, str]] = []
+    route: dict = {}
 
     def record(s, c, got, expected, oracle):
         mismatches.append((s, c, str(got), str(expected), oracle))
@@ -316,18 +301,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             count = kostka_number(s, c, counts)
             if r.evaluate(1) != count:
                 record(s, c, r.evaluate(1), count, "ssyt-count")
-            if len(s) == 1:
-                f = kostka_one_row(c)
-                if r != f:
-                    record(s, c, r, f, "one-row")
-            if len(s) >= 2 and all(x == 1 for x in s[1:]) and dominates(s, c):
-                f = kostka_hook(n, len(s) - 1, c)
-                if r != f:
-                    record(s, c, r, f, "hook")
-            if all(x == 1 for x in c) and dominates(s, c):
-                f = _column_reference(s)
-                if r != f:
-                    record(s, c, r, f, "column")
+            # each closed form that `kostka` serves, on the route it takes
+            value = kostka(s, c, cache, ALL_FAST_PATHS, route)
+            if route["path"] in ALL_FAST_PATHS and value != chg:
+                record(s, c, value, chg, route["path"])
     for s, c, got, expected, oracle in mismatches:
         print(f"mismatch: shape={format_partition(s)} content={format_partition(c)} "
               f"got={got} expected={expected} oracle={oracle}")

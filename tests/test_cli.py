@@ -812,7 +812,6 @@ def test_verify_column_check_does_not_share_the_engine_closed_form(capsys, monke
 
     real = kostka.core.kostka_column
     monkeypatch.setattr(kostka.core, "kostka_column", lambda shape: real(shape).shift(1))
-    monkeypatch.setattr(kostka.cli, "kostka_column", kostka.core.kostka_column, raising=False)
     # written in-process: the CLI refuses to serve these values, since their
     # degrees are one too high, but verify must still report them
     path = tmp_path / "memo.tsv"
@@ -823,6 +822,23 @@ def test_verify_column_check_does_not_share_the_engine_closed_form(capsys, monke
     assert code == 2
     assert ("mismatch: shape=2,1,1 content=1,1,1,1 got=t^2 + t^3 + t^4 "
             "expected=t + t^2 + t^3 oracle=column") in out.splitlines()
+
+
+@pytest.mark.parametrize("name, line", [
+    ("kostka_one_row", "mismatch: shape=2 content=1,1 got=t^2 expected=t oracle=one-row"),
+    ("kostka_hook", "mismatch: shape=3,1 content=2,2 got=t^2 expected=t oracle=hook"),
+    ("kostka_column",
+     "mismatch: shape=2,1 content=1,1,1 got=t^2 + t^3 expected=t + t^2 oracle=column"),
+], ids=["one-row", "hook", "column"])
+def test_verify_checks_each_served_closed_form_against_the_charge_oracle(
+        capsys, monkeypatch, name, line):
+    # the sweep meets each closed form on the route that `kostka` dispatches
+    # to, with no memo, and reports the closed form's value as `got`
+    real = getattr(engine, name)
+    monkeypatch.setattr(engine, name, lambda *args: real(*args).shift(1))
+    code, out, _ = run(capsys, "verify", "--max-n", "4")
+    assert code == 2
+    assert line in out.splitlines()
 
 
 def test_verify_checks_the_charge_columns_against_each_tableau(capsys, monkeypatch):
