@@ -155,40 +155,28 @@ def _load_cache(path: str | None) -> tuple[KostkaCache, str | None, int | None]:
     return cache, target, len(cache)
 
 
-def _save_cache(cache: KostkaCache, target: str | None, loaded: int | None) -> None:
-    """Persist the memo unless it holds just what its existing file held.
-
-    Entries are write-once and never dropped, so an unchanged size means
-    unchanged entries, and rewriting the file would reproduce its entries,
-    though not necessarily its bytes: a memo read from JSON values is written
-    back as dense text.
-    """
-    if target and len(cache) != loaded:
-        try:
-            cache.save(target)
-        except OSError as exc:
-            raise CachePathError(exc.strerror or exc) from exc
-
-
 def _compute_pairs(
+    path: str | None,
     pairs: Iterable[tuple[Partition, Partition]],
-    cache: KostkaCache,
     fast_paths: frozenset[str] = frozenset(),
-) -> list[TPoly]:
-    """Evaluate all pairs in order, sharing one memo."""
-    return [kostka(s, c, cache, fast_paths) for s, c in pairs]
+) -> tuple[list[TPoly], KostkaCache]:
+    """The values of all pairs in order, served from the memo at `path`, and the memo.
 
-
-def _check_served(rows: Iterable[tuple[Partition, Partition, TPoly]]) -> None:
-    """Refuse a value that no Kostka-Foulkes polynomial has, before it is saved or printed.
-
-    A dominating pair's value is monic of degree n(content) - n(shape).  The
-    load bounds only the span of a memo value's exponents, because `verify`
-    must still meet a wrong value and report it, so a wrong memo line can
-    reach here.
+    A value that no Kostka-Foulkes polynomial has is refused as soon as it is
+    computed, before anything is saved or printed: a dominating pair's value
+    is monic of degree n(content) - n(shape).  The load bounds only the span
+    of a memo value's exponents, because `verify` must still meet a wrong
+    value and report it, so a wrong memo line can reach here.  Entries are
+    write-once and never dropped, so an unchanged size means unchanged
+    entries, and the memo is saved only when its size changed (a memo read
+    from JSON values is rewritten as dense text only once it gains entries).
     """
+    cache, target, loaded = _load_cache(path)
     size = functools.cache(weighted_size)  # a table meets each partition many times
-    for s, c, v in rows:
+    values = []
+    for s, c in pairs:
+        v = kostka(s, c, cache, fast_paths)
+        problem = None
         if v:
             degree, top = v.leading_term()
             expected = size(c) - size(s)
@@ -196,14 +184,18 @@ def _check_served(rows: Iterable[tuple[Partition, Partition, TPoly]]) -> None:
                 problem = f"has degree {degree}, not n(content) - n(shape) = {expected}"
             elif top != 1:
                 problem = f"has top coefficient {top}, not 1"
-            else:
-                continue
         elif dominates(s, c):
             problem = "is zero for a dominating pair"
-        else:
-            continue
-        raise CacheFormatError(
-            f"key {format_partition(s)} / {format_partition(c)}: served value {problem}")
+        if problem:
+            raise CacheFormatError(
+                f"key {format_partition(s)} / {format_partition(c)}: served value {problem}")
+        values.append(v)
+    if target and len(cache) != loaded:
+        try:
+            cache.save(target)
+        except OSError as exc:
+            raise CachePathError(exc.strerror or exc) from exc
+    return values, cache
 
 
 def _render_poly(value: TPoly, fmt: str) -> str:
@@ -238,10 +230,8 @@ def _print_rows(rows: Iterable[tuple[Partition, Partition, TPoly]],
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    cache, target, loaded = _load_cache(args.cache)
-    value = kostka(args.shape, args.content, cache, FAST_PATHS[args.fast_paths])
-    _check_served([(args.shape, args.content, value)])
-    _save_cache(cache, target, loaded)
+    (value,), _ = _compute_pairs(args.cache, [(args.shape, args.content)],
+                                 FAST_PATHS[args.fast_paths])
     if args.format == "csv":
         _print_rows([(args.shape, args.content, value)], (args.shape, args.content), "csv")
     else:
@@ -254,7 +244,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    cache, target, loaded = _load_cache(args.cache)
     # dominance implies the lexicographic order, in which the shapes decrease,
     # so a row pairs a shape with itself or a later one, and `kostka` zeroes the rest
     shapes = list(partitions_of(args.n))
@@ -262,12 +251,9 @@ def cmd_table(args: argparse.Namespace) -> int:
     def pairs() -> Iterator[tuple[Partition, Partition]]:
         return ((s, c) for i, s in enumerate(shapes) for c in shapes[i:])
 
-    values = _compute_pairs(pairs(), cache, FAST_PATHS[args.fast_paths])
-    _check_served((s, c, v) for (s, c), v in zip(pairs(), values))
-    _save_cache(cache, target, loaded)
-    # the memo is not needed past its save: only the rows' own values outlive it,
-    # and each of those is dropped as its row is written
-    del cache
+    # only the values outlive the step, so the memo is freed once it is saved,
+    # and each value is dropped as its row is written
+    values = _compute_pairs(args.cache, pairs(), FAST_PATHS[args.fast_paths])[0]
     values.reverse()
     _print_rows(((s, c, v) for s, c in pairs() if (v := values.pop())), shapes, args.format)
     return 0
@@ -286,7 +272,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for n in range(1, args.max_n + 1):
         parts = list(partitions_of(n))
         pairs = [(s, c) for s in parts for c in parts]
-        values = _compute_pairs(pairs, cache)
+        values = [kostka(s, c, cache) for s, c in pairs]  # unchecked: wrong values are reported
         columns = {c: charge_polynomials(c) for c in parts}  # keyed by the dominating shapes
         for (s, c), r in zip(pairs, values):
             pairs_checked += 1
@@ -315,12 +301,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     shape, content = args.shape, args.content
     fast_paths = FAST_PATHS[args.fast_paths]
-    cache, target, loaded = _load_cache(args.cache)
     t0 = time.perf_counter()
-    value = kostka(shape, content, cache)
+    (value,), cache = _compute_pairs(args.cache, [(shape, content)])
     recursion_s = time.perf_counter() - t0
-    _check_served([(shape, content, value)])
-    _save_cache(cache, target, loaded)
     print(f"shape: {format_partition(shape)}")
     print(f"content: {format_partition(content)}")
     print(f"recursion: {recursion_s * 1000:.3f} ms "

@@ -432,6 +432,27 @@ def test_served_value_that_breaks_the_invariants_exits_2(capsys, tmp_path, value
     assert path.read_bytes() == before
 
 
+def test_a_refused_value_stops_the_table_where_it_is_met(capsys, monkeypatch, tmp_path):
+    # the wrong subproblem value first shows in 4,1,1 / 3,1,1,1, the 34th of
+    # the table's 66 pairs, and no later pair is evaluated
+    path = tmp_path / "memo.tsv"
+    path.write_text("2,1\t1,1,1\t1:1,2\n")
+    before = path.read_bytes()
+    calls = Counter()
+
+    def counted(*args):
+        calls["kostka"] += 1
+        return engine.kostka(*args)
+
+    monkeypatch.setattr(kostka.cli, "kostka", counted)
+    code, out, err = run(capsys, "table", "--n", "6", "--cache", str(path))
+    assert code == 2 and out == ""
+    assert err == ("kostka: cache error: key 4,1,1 / 3,1,1,1: "
+                   "served value has top coefficient 2, not 1\n")
+    assert path.read_bytes() == before
+    assert calls["kostka"] == 34  # the pairs up to the refused one, not all 66
+
+
 @pytest.mark.parametrize("command", [["compute", "--shape", "2,1", "--content", "1,1,1"],
                                      ["table", "--n", "3"],
                                      ["bench", "--shape", "2,1", "--content", "1,1,1"]])
@@ -570,9 +591,9 @@ def test_table_leaves_every_dominance_test_to_the_engine(capsys, monkeypatch):
     shapes = len(list(partitions_of(10)))
     pairs = shapes * (shapes + 1) // 2
     rows = len(out.splitlines()) - 1  # header
-    assert set(calls) == {"kostka", "_iterate", "_check_served"}
+    assert set(calls) == {"kostka", "_iterate", "_compute_pairs"}
     assert calls["kostka"] == pairs == 903  # once per pair, on the reduced pair
-    assert calls["_check_served"] == pairs - rows == 85  # once per zero value
+    assert calls["_compute_pairs"] == pairs - rows == 85  # once per zero value
 
 
 def test_warm_table_with_a_memo_zero_for_a_vanishing_pair(capsys, tmp_path):
@@ -796,13 +817,21 @@ def test_verify_rejects_structurally_corrupt_cache(capsys, tmp_path):
     assert "2,2,1,1 / 3,2,1" in err
 
 
-def test_verify_flags_poisoned_cache_value(capsys, tmp_path):
+@pytest.mark.parametrize("value, got, count", [
+    pytest.param('[[5,"1"]]', "t^5", 1, id="json"),
+    # the value that compute, table and bench refuse for its top coefficient
+    pytest.param("1:1,2", "t + 2t^2", 3, id="dense"),
+])
+def test_verify_flags_poisoned_cache_value(capsys, tmp_path, value, got, count):
     path = tmp_path / "poisoned.tsv"
-    path.write_text('2,1\t1,1,1\t[[5,"1"]]\n')  # wrong but well-formed entry
+    path.write_text(f"2,1\t1,1,1\t{value}\n")  # wrong but well-formed entry
     code, out, _ = run(capsys, "verify", "--max-n", "3", "--cache", str(path))
     assert code == 2
-    assert "shape=2,1 content=1,1,1" in out
-    assert "mismatch" in out
+    lines = out.splitlines()
+    assert (f"mismatch: shape=2,1 content=1,1,1 got={got} expected=t + t^2 "
+            "oracle=charge") in lines
+    assert (f"mismatch: shape=2,1 content=1,1,1 got={count} expected=2 "
+            "oracle=ssyt-count") in lines
 
 
 def test_verify_column_check_does_not_share_the_engine_closed_form(capsys, monkeypatch, tmp_path):

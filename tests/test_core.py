@@ -533,7 +533,7 @@ def test_cache_statistics_and_write_once():
     assert cache.get((2, 1), (1, 1, 1)) == TPoly({1: 1, 2: 1})
     assert cache.hits == 1
     cache.put((2, 1), (1, 1, 1), TPoly({1: 1, 2: 1}))  # same value is fine
-    assert len(cache) == 1  # so `_save_cache` can tell an unchanged memo by its size
+    assert len(cache) == 1  # so `cli._compute_pairs` can tell an unchanged memo by its size
     with pytest.raises(CacheConflictError):
         cache.put((2, 1), (1, 1, 1), TPoly({5: 1}))
 
