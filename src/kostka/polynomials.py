@@ -172,19 +172,13 @@ class TPoly:
     def __mul__(self, other: "TPoly") -> "TPoly":
         if not isinstance(other, TPoly):
             return NotImplemented
-        if not self._k or not other._k:
-            return ZERO
-        w = max(self._w, other._w)
-        a, b = self._repack(w), other._repack(w)
-        # a product coefficient sums at most min(len a, len b) products of coefficients
-        terms = min(abs(a._k).bit_length(), abs(b._k).bit_length()) // w + 1
-        m = a._m * b._m * terms
-        v = a._v + b._v
-        if m >> (w - 1):
-            w = _width_for(m)
-            a, b = a._repack(w), b._repack(w)
-            return _from_dense(_unpack(a._k * b._k, w), v)
-        return _new(a._k * b._k, v, w, m)
+        # a plain coefficient product, sharing none of the sum's packing
+        a, b = _unpack(self._k, self._w), _unpack(other._k, other._w)
+        prod = [0] * (len(a) + len(b) - 1)  # all zeros, so ZERO, when a factor is zero
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                prod[j] += x * y
+        return _from_dense(prod, self._v + other._v)
 
     def shift(self, e: int) -> "TPoly":
         """Multiply by t**e; e must be nonnegative."""
@@ -244,7 +238,7 @@ class TPoly:
         """Strictly validated inverse of to_json_obj."""
         if not isinstance(obj, list):
             raise ValueError("TPoly JSON must be a list of [exponent, coefficient] pairs")
-        coeffs: list[int] = []
+        pairs: list[tuple[int, int]] = []
         last = -1
         for entry in obj:
             if not isinstance(entry, list) or len(entry) != 2:
@@ -256,25 +250,15 @@ class TPoly:
                 raise ValueError(f"exponents not strictly ascending at {e}")
             if not isinstance(c, str):
                 raise ValueError(f"coefficient must be a decimal string, got {c!r}")
-            try:
-                ci = int(c)
-            except ValueError:
-                raise ValueError(f"bad coefficient string {c!r}") from None
+            if not (c.isascii() and c.removeprefix("-").isdigit()):
+                raise ValueError(f"bad coefficient string {c!r}")
+            ci = int(c)
             if not ci:
                 raise ValueError(f"zero coefficient stored at exponent {e}")
             last = e
-            coeffs.append(ci)
-        if not coeffs:
-            return ZERO
-        low = obj[0][0]
-        if len(coeffs) <= last - low:
-            # gaps: every entry is valid before the dense list is allocated, so
-            # a malformed list allocates no more than its own length
-            dense = [0] * (last + 1 - low)
-            for (e, _), ci in zip(obj, coeffs):
-                dense[e - low] = ci
-            coeffs = dense
-        return _from_dense(coeffs, low)
+            pairs.append((e, ci))
+        # every entry is valid before TPoly allocates a list the length of the span
+        return cls(pairs)
 
     def to_dense_text(self) -> str:
         """Dense text form "v:c0,c1,...,cd" for sum c_i t^(v+i), every coefficient

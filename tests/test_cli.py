@@ -930,6 +930,24 @@ def test_bench_without_a_matching_fast_path_runs_the_recursion(capsys):
     assert "mismatch" not in out
 
 
+def test_bench_reports_a_fast_path_that_disagrees_with_the_recursion(capsys, monkeypatch):
+    real = engine.kostka_hook
+    monkeypatch.setattr(engine, "kostka_hook", lambda *args: real(*args).shift(1))
+    code, out, _ = run(capsys, "bench", "--shape", "3,1,1", "--content", "2,1,1,1",
+                       "--fast-paths", "all")
+    assert code == 2
+    assert "mismatch: fast path hook disagrees with recursion\n" in out
+
+
+def test_bench_reports_a_charge_oracle_that_disagrees_with_the_recursion(capsys, monkeypatch):
+    real = kostka.cli.kostka_via_charge
+    monkeypatch.setattr(kostka.cli, "kostka_via_charge", lambda *args: real(*args).shift(1))
+    code, out, _ = run(capsys, "bench", "--shape", "3,2,1", "--content", "2,2,1,1")
+    assert code == 2
+    assert "mismatch: charge oracle disagrees with recursion\n" in out
+    assert "speedup:" not in out
+
+
 def test_bench_respects_oracle_ceiling(capsys):
     code, out, _ = run(capsys, "bench", "--shape", "3,2,1", "--content", "2,2,1,1",
                        "--oracle-ceiling", "1")

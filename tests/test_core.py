@@ -635,6 +635,7 @@ def test_a_save_that_cannot_open_its_file_reports_that_error(tmp_path):
         ("2,1\t1,1,1\t[]", "key 2,1 / 1,1,1: zero value for dominating pair"),
         ("2,1\t1,1,1\t[[1,\"-1\"],[2,\"1\"]]", "key 2,1 / 1,1,1: negative coefficient"),
         ("2,1\t1,1,1\t[[1,\"1\"],[2,\"-1\"]]", "key 2,1 / 1,1,1: negative coefficient"),
+        ("2,1\t1,1,1\t[[1,\"+1\"],[2,\"1\"]]", "key 2,1 / 1,1,1: bad coefficient string '+1'"),
     ],
 )
 def test_cache_load_rejects_corrupt_lines(tmp_path, line, fragment):
@@ -671,6 +672,23 @@ def test_a_save_fits_wherever_its_target_name_does(tmp_path):
     # and the file gets the mode a plainly created one gets
     (tmp_path / "plain").touch()
     assert path.stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_a_save_never_clobbers_a_colliding_temporary_name(tmp_path, monkeypatch):
+    cache = KostkaCache()
+    kostka((3, 2, 1), (2, 2, 1, 1), cache)
+    # the first name drawn is taken; the save must draw another
+    taken = tmp_path / f".{bytes(6).hex()}.kostka.tmp"
+    taken.write_bytes(b"keep")
+    draws = [bytes(6)]
+    urandom = os.urandom
+    monkeypatch.setattr(engine.os, "urandom", lambda n: draws.pop() if draws else urandom(n))
+    path = tmp_path / "memo.tsv"
+    cache.save(str(path))
+    assert not draws
+    assert KostkaCache.load(str(path)).items() == cache.items()
+    assert taken.read_bytes() == b"keep"
+    assert sorted(os.listdir(tmp_path)) == sorted([taken.name, path.name])
 
 
 def _write_json_memo(cache, path):

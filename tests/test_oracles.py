@@ -225,6 +225,16 @@ def test_enumerate_empty_on_invalid_pairs():
     assert enumerate_ssyt((1, 1), (2,)) == []
 
 
+@pytest.mark.parametrize("rows, valid", [
+    (((1, 1), (2,)), True),
+    (((1, 1), (1,)), False),   # a column that does not increase
+    (((2, 1),), False),        # a row that decreases
+    (((1,), (2, 2)), False),   # a row longer than the one above
+])
+def test_is_semistandard_can_say_no(rows, valid):
+    assert is_semistandard(rows) is valid
+
+
 def test_enumerate_is_valid_unique_and_sorted():
     for n in range(7):
         ps = list(partitions_of(n))

@@ -326,6 +326,11 @@ def test_json_round_trip_random(p):
         [[1, "0"]],
         [[1, "one"]],
         [[1]],
+        # int() takes these, but to_json_obj never writes them
+        [[1, "1_0"]],
+        [[1, " 5"]],
+        [[1, "+5"]],
+        [[1, "\u0663"]],  # ARABIC-INDIC DIGIT THREE
     ],
 )
 def test_from_json_obj_rejects_bad_input(obj):
